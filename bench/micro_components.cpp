@@ -13,10 +13,8 @@
 
 #include "compiler/ir.hpp"
 #include "compiler/passes.hpp"
-#include "interp_kernels.hpp"
 #include "isa/builder.hpp"
 #include "isa/interpreter.hpp"
-#include "isa/predecode.hpp"
 #include "mem/cache.hpp"
 #include "mem/dram.hpp"
 #include "mem/guest_memory.hpp"
@@ -163,136 +161,16 @@ BM_Interpreter(benchmark::State &state)
     ctx.vaddr = 0x10400;
     ctx.globalRegs = globals;
 
+    std::vector<epf::PrefetchEmit> emits;
     for (auto _ : state) {
-        auto res = epf::Interpreter::run(k, ctx,
-                                         [](const epf::PrefetchEmit &) {});
+        emits.clear();
+        auto res = epf::Interpreter::run(k, ctx, &emits);
         benchmark::DoNotOptimize(res.cycles);
+        benchmark::DoNotOptimize(emits.data());
     }
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Interpreter);
-
-/**
- * Reference switch interpreter vs the pre-decoded direct-threaded one
- * (superblocks off — the PR 5 decoded baseline) vs the superblock
- * interpreter (the PPF default) on the three kernel shapes of
- * tools/bench_interp.  Items processed = architectural PPU
- * instructions, so items/s compares directly across the
- * Ref/Decoded/Superblock triples (all execute the same instruction
- * stream).
- */
-void
-runInterpRef(benchmark::State &state, const epf::Kernel &k)
-{
-    const epf::bench::BenchInput in;
-    std::vector<epf::PrefetchEmit> emits; // the PPF's pooled-buffer shape
-    emits.reserve(64);
-    std::uint64_t instrs = 0;
-    for (auto _ : state) {
-        emits.clear();
-        auto res = epf::Interpreter::run(k, in.ctx, &emits);
-        instrs += res.cycles;
-        benchmark::DoNotOptimize(res.cycles);
-        benchmark::DoNotOptimize(emits.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(instrs));
-}
-
-void
-runInterpPredecoded(benchmark::State &state, const epf::Kernel &k,
-                    bool superblocks)
-{
-    const epf::bench::BenchInput in;
-    // Decoded once, as in the PPF cache; superblocks off is the PR 5
-    // decoded baseline, on is what the PPF actually runs.
-    const epf::DecodedKernel dk(k, superblocks);
-    std::vector<epf::PrefetchEmit> emits;
-    emits.reserve(64);
-    std::uint64_t instrs = 0;
-    for (auto _ : state) {
-        emits.clear();
-        auto res = epf::DecodedKernel::run(dk, in.ctx, &emits);
-        instrs += res.cycles;
-        benchmark::DoNotOptimize(res.cycles);
-        benchmark::DoNotOptimize(emits.data());
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(instrs));
-}
-
-void
-runInterpDecoded(benchmark::State &state, const epf::Kernel &k)
-{
-    runInterpPredecoded(state, k, /*superblocks=*/false);
-}
-
-void
-runInterpSuperblock(benchmark::State &state, const epf::Kernel &k)
-{
-    runInterpPredecoded(state, k, /*superblocks=*/true);
-}
-
-void
-BM_InterpreterPointerChaseRef(benchmark::State &state)
-{
-    runInterpRef(state, epf::bench::pointerChaseKernel());
-}
-BENCHMARK(BM_InterpreterPointerChaseRef);
-
-void
-BM_InterpreterPointerChaseDecoded(benchmark::State &state)
-{
-    runInterpDecoded(state, epf::bench::pointerChaseKernel());
-}
-BENCHMARK(BM_InterpreterPointerChaseDecoded);
-
-void
-BM_InterpreterPointerChaseSuperblock(benchmark::State &state)
-{
-    runInterpSuperblock(state, epf::bench::pointerChaseKernel());
-}
-BENCHMARK(BM_InterpreterPointerChaseSuperblock);
-
-void
-BM_InterpreterHashProbeRef(benchmark::State &state)
-{
-    runInterpRef(state, epf::bench::hashProbeKernel());
-}
-BENCHMARK(BM_InterpreterHashProbeRef);
-
-void
-BM_InterpreterHashProbeDecoded(benchmark::State &state)
-{
-    runInterpDecoded(state, epf::bench::hashProbeKernel());
-}
-BENCHMARK(BM_InterpreterHashProbeDecoded);
-
-void
-BM_InterpreterHashProbeSuperblock(benchmark::State &state)
-{
-    runInterpSuperblock(state, epf::bench::hashProbeKernel());
-}
-BENCHMARK(BM_InterpreterHashProbeSuperblock);
-
-void
-BM_InterpreterCallbackChainRef(benchmark::State &state)
-{
-    runInterpRef(state, epf::bench::callbackChainKernel());
-}
-BENCHMARK(BM_InterpreterCallbackChainRef);
-
-void
-BM_InterpreterCallbackChainDecoded(benchmark::State &state)
-{
-    runInterpDecoded(state, epf::bench::callbackChainKernel());
-}
-BENCHMARK(BM_InterpreterCallbackChainDecoded);
-
-void
-BM_InterpreterCallbackChainSuperblock(benchmark::State &state)
-{
-    runInterpSuperblock(state, epf::bench::callbackChainKernel());
-}
-BENCHMARK(BM_InterpreterCallbackChainSuperblock);
 
 void
 BM_ConversionPass(benchmark::State &state)

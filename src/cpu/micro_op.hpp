@@ -60,10 +60,9 @@ struct MicroOp
     /**
      * Action run at dispatch for PfConfig ops.  May mutate prefetcher
      * configuration mid-trace, including the PPF kernel table (adding
-     * or patching kernels); KernelTable::version() moves on every such
-     * mutation, which is what lets the PPF's decoded-program cache
-     * refresh before the next callback-kernel dispatch instead of
-     * running stale code.
+     * or patching kernels); the PPF interprets the table's current code
+     * on every event, so the next callback-kernel dispatch runs the
+     * patched kernel.
      */
     std::function<void()> config;
 };

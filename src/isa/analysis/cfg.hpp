@@ -6,13 +6,10 @@
  * terminators are branches, jumps, halts and statically-proven traps.
  * Edges out of the code range (a wild branch target, or falling past
  * the last instruction) go to a synthetic *boundary* exit — exactly the
- * pc-bounds trap of the reference interpreter, and the same sink slot
- * the pre-decoded interpreter jumps to.
+ * pc-bounds trap of the interpreter.
  *
  * The CFG is the substrate every verifier pass runs on (reachability,
- * def-use dataflow, cost bounds), and its acyclic regions are the
- * superblock-formation facts the decoded-trace work consumes (ROADMAP
- * item 1).
+ * def-use dataflow, cost bounds).
  */
 
 #ifndef EPF_ISA_ANALYSIS_CFG_HPP

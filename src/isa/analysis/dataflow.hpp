@@ -17,17 +17,14 @@
  * Branch edges refine operand states (beq intersects, blt/bge clamp
  * interval endpoints), and the same-register conditions (beq r,r) make
  * the dead edge infeasible outright.  Registers are zero at event
- * entry in both interpreters, so the entry state is exact, and every
- * fact proven under the default (nothing-assumed) context holds for
- * any event — that is what lets predecode consume the results.
+ * entry, so the entry state is exact, and every fact proven under the
+ * default (nothing-assumed) context holds for any event.
  *
  * Consumers:
  *  - analyzeKernel() refines its per-pc trap facts (a div whose
  *    divisor interval excludes zero is proven trap-free) and derives
  *    the new warning families (out-of-region / degenerate prefetch
  *    target, dead assignment, constant branch);
- *  - predecode.cpp hoists refined always-traps to kTrap and exports
- *    the per-pc trap-free bitmap superblock formation consumes;
  *  - the tier-2 ISA fuzzer replays 10k programs instruction-by-
  *    instruction against the computed intervals: every concrete
  *    register value must lie inside its abstract state, so any
@@ -198,9 +195,8 @@ BranchOutcome branchOutcome(const Instr &in, const RegState &s);
  * Run the forward fixpoint over @p cfg.  @p ctx seeds the entry facts
  * (vaddr range, known global-register values); the default context
  * assumes nothing, which makes every resulting fact valid for every
- * event — the form predecode consumes.  @p cfg must have been built
- * from @p code (with the same always-trap terminators analyzeKernel
- * uses).
+ * event.  @p cfg must have been built from @p code (with the same
+ * always-trap terminators analyzeKernel uses).
  */
 DataflowResult analyzeDataflow(const std::vector<Instr> &code,
                                const Cfg &cfg, const KernelContext &ctx);

@@ -505,10 +505,9 @@ analyzeKernel(const Kernel &k, const KernelContext &ctx)
         out.maxEmits = kMaxKernelSteps; // at most one emit per cycle
     } else {
         // Longest path over the DAG in reverse postorder, with the
-        // shared per-block weights (blockWeights) as edge costs — the
-        // same exact block totals superblock execution bulk-charges.
-        // The two maxima are taken over independent paths; each is
-        // attained by a real CFG path.
+        // per-block weights (blockWeights) as edge costs.  The two
+        // maxima are taken over independent paths; each is attained by
+        // a real CFG path.
         const std::size_t nb = cfg.size();
         const std::vector<BlockWeight> w = blockWeights(cfg, code);
         std::vector<std::uint32_t> cyc(nb, 0);

@@ -10,9 +10,9 @@
  *    path (must-assigned analysis; observation ops are implicit defs);
  *  - static trap proofs: instructions that trap every time they
  *    execute, both context-free facts (divi #0, out-of-range gread /
- *    lookahead index) — the exact set the pre-decoder hoists — and
- *    context-dependent ones (ldline on a trigger kind known to carry
- *    no line, lookahead index vs the installed filter count);
+ *    lookahead index) and context-dependent ones (ldline on a trigger
+ *    kind known to carry no line, lookahead index vs the installed
+ *    filter count);
  *  - cost bounds: exact worst-case cycles and emit count for acyclic
  *    kernels, kMaxKernelSteps watchdog classification otherwise.
  *
@@ -92,10 +92,8 @@ struct KernelContext
 /**
  * Context-free always-trap fact for one instruction: true when the
  * instruction traps on every execution regardless of the triggering
- * event.  This is the exact set the pre-decoder hoists to its kTrap
- * slot (divi #0; gread index outside [0, kGlobalRegs); negative
- * lookahead index) — predecode.cpp calls this instead of recomputing,
- * so the decoder and the verifier can never disagree.
+ * event (divi #0; gread index outside [0, kGlobalRegs); negative
+ * lookahead index).  These instructions terminate their CFG block.
  */
 bool alwaysTraps(const Instr &in);
 
@@ -123,10 +121,7 @@ struct BlockWeight
 /**
  * Per-block weights over @p cfg (one entry per block, indexed by block
  * id).  Exact for straight-line execution — these are the edge weights
- * of the verifier's longest-path cost pass and the block-level cycle
- * accounting superblock execution bulk-charges (predecode.cpp): a
- * superblock covering a whole basic block must charge exactly
- * weights[b].cycles and emit exactly weights[b].emits.
+ * of the verifier's longest-path cost pass.
  */
 std::vector<BlockWeight> blockWeights(const Cfg &cfg,
                                       const std::vector<Instr> &code);
@@ -161,9 +156,7 @@ struct KernelAnalysis
      *  entries): 1 when the instruction can never trap when it
      *  executes (proven-unreachable pcs qualify vacuously).  Strictly
      *  no weaker than !mayTrap(in, ctx) — e.g. a div whose divisor
-     *  interval excludes zero.  This is the region oracle superblock
-     *  formation consumes (ROADMAP item 1); DecodedKernel re-exports
-     *  it from the decode-time context. */
+     *  interval excludes zero. */
     std::vector<std::uint8_t> trapFreePc;
 
     bool hasErrors() const { return analysis::hasErrors(diags); }

@@ -8,30 +8,7 @@ namespace epf
 namespace
 {
 
-/** Emit-sink adapters: one indirection-free, one callback-based. */
-struct VecSink
-{
-    std::vector<PrefetchEmit> *v;
-    void
-    operator()(const PrefetchEmit &e) const
-    {
-        if (v != nullptr)
-            v->push_back(e);
-    }
-};
-
-struct FnSink
-{
-    const Interpreter::EmitFn *fn;
-    void
-    operator()(const PrefetchEmit &e) const
-    {
-        if (*fn)
-            (*fn)(e);
-    }
-};
-
-/** No-op step observer (the untraced fast paths). */
+/** No-op step observer (the untraced path). */
 struct NullTrace
 {
     void
@@ -52,10 +29,11 @@ struct FnTrace
     }
 };
 
-template <class Sink, class Trace = NullTrace>
+template <class Trace = NullTrace>
 ExecResult
-runImpl(const Kernel &kernel, const EventContext &ctx, Sink emit,
-        unsigned max_steps, std::uint64_t *regs_out, Trace trace = {})
+runImpl(const Kernel &kernel, const EventContext &ctx,
+        std::vector<PrefetchEmit> *sink, unsigned max_steps,
+        std::uint64_t *regs_out, Trace trace = {})
 {
     ExecResult res;
     std::uint64_t regs[kPpuRegs] = {};
@@ -208,7 +186,8 @@ runImpl(const Kernel &kernel, const EventContext &ctx, Sink emit,
             else if (in.op == Opcode::kPrefetchCb)
                 e.cbKernel = static_cast<KernelId>(in.imm);
             ++res.emitted;
-            emit(e);
+            if (sink != nullptr)
+                sink->push_back(e);
             break;
           }
 
@@ -241,18 +220,10 @@ runImpl(const Kernel &kernel, const EventContext &ctx, Sink emit,
 
 ExecResult
 Interpreter::run(const Kernel &kernel, const EventContext &ctx,
-                 const EmitFn &emit, unsigned max_steps,
-                 std::uint64_t *regs_out)
-{
-    return runImpl(kernel, ctx, FnSink{&emit}, max_steps, regs_out);
-}
-
-ExecResult
-Interpreter::run(const Kernel &kernel, const EventContext &ctx,
                  std::vector<PrefetchEmit> *sink, unsigned max_steps,
                  std::uint64_t *regs_out)
 {
-    return runImpl(kernel, ctx, VecSink{sink}, max_steps, regs_out);
+    return runImpl(kernel, ctx, sink, max_steps, regs_out);
 }
 
 ExecResult
@@ -260,8 +231,7 @@ Interpreter::runTraced(const Kernel &kernel, const EventContext &ctx,
                        std::vector<PrefetchEmit> *sink, const StepFn &step,
                        unsigned max_steps, std::uint64_t *regs_out)
 {
-    return runImpl(kernel, ctx, VecSink{sink}, max_steps, regs_out,
-                   FnTrace{&step});
+    return runImpl(kernel, ctx, sink, max_steps, regs_out, FnTrace{&step});
 }
 
 } // namespace epf

@@ -9,10 +9,12 @@
  * for PPU exceptions: prefetching is best-effort, so the event is
  * simply abandoned.
  *
- * This switch-decoded interpreter is the reference semantics of the
- * ISA; the pre-decoded interpreter in predecode.hpp is the fast path
- * the simulator actually runs, and the differential fuzzer in
- * tests/fuzz_isa_test.cpp holds the two bit-identical.
+ * This switch-dispatched interpreter is both the reference semantics of
+ * the ISA and the only executor the simulator runs: every PPU event
+ * interprets its kernel straight from the KernelTable, so a patched
+ * kernel takes effect on the next event.  Kernel execution is a small
+ * share of simulation host time, so the executor stays a plain switch
+ * loop over the raw instructions.
  */
 
 #ifndef EPF_ISA_INTERPRETER_HPP
@@ -75,26 +77,13 @@ struct ExecResult
 class Interpreter
 {
   public:
-    using EmitFn = std::function<void(const PrefetchEmit &)>;
-
     /**
      * Run @p kernel against @p ctx.
-     * @param emit  invoked for every prefetch the kernel issues
+     * @param sink  every prefetch the kernel issues is appended here
+     *              (null discards them)
      * @param max_steps watchdog bound
      * @param regs_out  when non-null, receives the kPpuRegs final
-     *                  register values at exit (any exit reason) —
-     *                  used by the differential tests to compare
-     *                  register-visible effects across interpreters
-     */
-    static ExecResult run(const Kernel &kernel, const EventContext &ctx,
-                          const EmitFn &emit,
-                          unsigned max_steps = kMaxKernelSteps,
-                          std::uint64_t *regs_out = nullptr);
-
-    /**
-     * Fast-sink form: emitted prefetches append to @p sink (null
-     * discards them).  Same semantics as the callback form without the
-     * per-emit std::function indirection.
+     *                  register values at exit (any exit reason)
      */
     static ExecResult run(const Kernel &kernel, const EventContext &ctx,
                           std::vector<PrefetchEmit> *sink,

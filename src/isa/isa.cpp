@@ -10,7 +10,6 @@ KernelTable::add(Kernel k)
 {
     if (strict_)
         analysis::verifyOrThrow(k);
-    ++version_;
     kernels_.push_back(std::move(k));
     return static_cast<KernelId>(kernels_.size() - 1);
 }

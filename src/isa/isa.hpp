@@ -138,15 +138,11 @@ class KernelTable
 
     /**
      * Mutable access (used by the compiler's relocation step and the
-     * manual kernels' address patching).  Conservatively counts as a
-     * mutation: callers hold the reference past this call, so the
-     * version moves now and any derived state (e.g. the PPF's decoded-
-     * program cache) refreshes before the kernel next runs.
+     * manual kernels' address patching).
      */
     Kernel &
     mutableKernel(KernelId id)
     {
-        ++version_;
         return kernels_.at(static_cast<std::size_t>(id));
     }
 
@@ -167,23 +163,10 @@ class KernelTable
         return n;
     }
 
-    void
-    clear()
-    {
-        ++version_;
-        kernels_.clear();
-    }
-
-    /**
-     * Monotonic mutation counter: moves on add(), mutableKernel() and
-     * clear().  Consumers caching per-kernel derived state compare it
-     * to detect staleness.
-     */
-    std::uint64_t version() const { return version_; }
+    void clear() { kernels_.clear(); }
 
   private:
     std::vector<Kernel> kernels_;
-    std::uint64_t version_ = 0;
     bool strict_ = true;
 };
 

@@ -9,8 +9,6 @@ CorePort::CorePort(EventQueue &eq, GuestMemory &mem, Uncore &uncore,
                    const MemParams &params, unsigned portId)
     : eq_(eq), mem_(mem), p_(params), portId_(portId)
 {
-    // The memory-system master switch seeds the per-level flag.
-    p_.l1.batchedDelivery = p_.batchedDelivery;
     l1_ = std::make_unique<Cache>(eq_, p_.l1, uncore.port(portId_));
     tlb_ = std::make_unique<Tlb>(eq_, p_.tlb, uncore.pageTable(),
                                  uncore.port(portId_));
@@ -167,13 +165,12 @@ CorePort::tryIssuePrefetches()
 void
 CorePort::issueTranslatedPrefetch(const LineRequest &req)
 {
-    // Strict mode re-checks the demand reservation at issue time: the
-    // free-MSHR state may have changed while this request's
-    // translation was in flight, and landing it anyway dips into the
-    // MSHRs reserved for demand misses.  Skidded requests re-issue
-    // from the MSHR-free hook once the file drains.
-    if (p_.strictPfReservation &&
-        l1_->freeMshrCount() <= p_.demandReservedMshrs) {
+    // Re-check the demand reservation at issue time: the free-MSHR
+    // state may have changed while this request's translation was in
+    // flight, and landing it anyway dips into the MSHRs reserved for
+    // demand misses.  Skidded requests re-issue from the MSHR-free hook
+    // once the file drains.
+    if (l1_->freeMshrCount() <= p_.demandReservedMshrs) {
         if (pfSkid_.size() >= kMaxPfSkid) {
             ++stats_.pfSkidDropped;
             if (listener_ != nullptr && (req.cbKernel >= 0 || req.tag >= 0))

@@ -51,20 +51,10 @@ struct MemParams
     /**
      * L1 MSHRs kept free for demand misses: prefetch requests only
      * issue while more than this many MSHRs are available, so the
-     * prefetcher cannot starve the core.
+     * prefetcher cannot starve the core.  Enforced both when a request
+     * is popped from the queue and again when its translation lands.
      */
     unsigned demandReservedMshrs = 2;
-    /**
-     * Also enforce demandReservedMshrs when a translated prefetch
-     * lands, not only when it is popped from the request queue.  This
-     * is the documented contract and the default; a request whose TLB
-     * translation was in flight while the MSHR file filled skids until
-     * the file drains instead of taking a reserved MSHR on arrival.
-     * Turning it off restores the legacy pipeline the pre-refresh
-     * goldens were recorded under (the divergence is a transient
-     * bounded by the translation window).
-     */
-    bool strictPfReservation = true;
     /**
      * L2 bank count (power of two); 0 = one bank per core port.  The
      * configured L2 capacity and MSHRs are split evenly across banks.
@@ -72,19 +62,6 @@ struct MemParams
     unsigned l2Banks = 0;
     /** Ticks between round-robin L2 grants when ports contend. */
     Tick l2ArbPeriod = 5;
-    /**
-     * Coalesce same-tick event delivery through the hierarchy: the L2
-     * bank arbiters share one wake event per tick that grants every
-     * bank due at that tick in one drain (instead of one event per
-     * bank), and both cache levels deliver MSHR fill waiters as one
-     * batched event (seeds CacheParams::batchedDelivery).  Single-port
-     * machines bypass arbitration entirely, so golden (cores = 1) runs
-     * are byte-identical either way; multi-core runs stay deterministic
-     * but may order same-tick grants differently from the legacy
-     * per-bank events.  Off restores per-event delivery for the A/B
-     * parity suite.
-     */
-    bool batchedDelivery = true;
 
     /** Table 1 defaults. */
     static MemParams defaults();
@@ -171,10 +148,7 @@ class Uncore : public CoherenceHub
         /** Per-port request queues the arbiter grants from. */
         std::vector<Ring<Pending>> queues;
         unsigned rrNext = 0;
-        /** Legacy (per-event) arbiter: a grant event is outstanding. */
-        bool granting = false;
-        /** Coalesced arbiter: tick of this bank's next grant slot
-         *  (kTickMax when idle). */
+        /** Tick of this bank's next grant slot (kTickMax when idle). */
         Tick nextGrantAt = kTickMax;
     };
 
@@ -189,17 +163,14 @@ class Uncore : public CoherenceHub
     unsigned bankOf(Addr paddr) const;
     void portRead(unsigned port, const LineRequest &req, DoneFn done);
     void portWrite(unsigned port, const LineRequest &req);
-    /** Legacy per-bank grant event (batchedDelivery off). */
-    void grant(unsigned bank);
     /** True if any port queue of @p bank holds a request. */
     bool bankHasWork(const Bank &bank) const;
     /** Issue one round-robin grant on @p bank (requires queued work);
      *  returns true if requests remain queued afterwards. */
     bool grantOne(Bank &bank);
-    /** Coalesced arbiter: ensure a wake event no later than @p when. */
+    /** Ensure an arbiter wake event no later than @p when. */
     void armArb(Tick when);
-    /** Coalesced arbiter: grant every bank due now, re-arm for the
-     *  earliest future slot. */
+    /** Grant every bank due now, re-arm for the earliest future slot. */
     void arbDrain();
     void invalidateOthers(unsigned port, Addr line_addr, DirEntry &e);
 
@@ -215,8 +186,8 @@ class Uncore : public CoherenceHub
     std::vector<Cache *> l1s_;
     std::unordered_map<Addr, DirEntry> dir_;
 
-    /** Coalesced arbiter: tick of the live wake event (kTickMax when
-     *  none) and its generation (earlier re-arms orphan stale wakes). */
+    /** Tick of the live arbiter wake event (kTickMax when none) and its
+     *  generation (earlier re-arms orphan stale wakes). */
     Tick arbWakeAt_ = kTickMax;
     std::uint64_t arbGen_ = 0;
 

@@ -90,7 +90,6 @@ ProgrammablePrefetcher::reset()
 {
     ++epoch_;
     kernels_.clear();
-    decoded_.clear(); // stale with the table (version() also moved)
     filters_.clear();
     lookahead_.clear();
     tagKernels_.clear();
@@ -167,13 +166,9 @@ ProgrammablePrefetcher::notifyDemand(Addr vaddr, bool is_load, bool hit,
             obs.timedStart = now;
             obs.timedOrigin = static_cast<std::int16_t>(idx);
         }
-        if (cfg_.batchedObservations)
-            obsScratch_.push_back(std::move(obs));
-        else
-            enqueueObservation(std::move(obs));
+        obsScratch_.push_back(std::move(obs));
     });
-    if (cfg_.batchedObservations)
-        flushObservationScratch();
+    flushObservationScratch();
 }
 
 void
@@ -260,10 +255,7 @@ ProgrammablePrefetcher::routeFill(const LineRequest &req)
             ++stats_.obsNoData;
             return;
         }
-        if (cfg_.batchedObservations)
-            obsScratch_.push_back(std::move(obs));
-        else
-            enqueueObservation(std::move(obs));
+        obsScratch_.push_back(std::move(obs));
     };
 
     if (k != kNoKernel) {
@@ -274,8 +266,7 @@ ProgrammablePrefetcher::routeFill(const LineRequest &req)
                 makeObs(e.onPrefetch);
         });
     }
-    if (cfg_.batchedObservations)
-        flushObservationScratch();
+    flushObservationScratch();
 }
 
 void
@@ -452,8 +443,8 @@ ProgrammablePrefetcher::executeEvent(unsigned ppu, const Observation &obs,
     ctx.lookaheadEntries = static_cast<unsigned>(lookaheadScratch_.size());
 
     // The emit buffer must outlive this call (it rides to finishEvent),
-    // so it comes from a pool rather than the stack.  Both interpreter
-    // paths append straight into it — no per-emit callback indirection.
+    // so it comes from a pool rather than the stack.  The interpreter
+    // appends straight into it.
     std::vector<PrefetchEmit> *emits = emitBuffers_.acquire();
     emits->clear();
     // Injected runaway: the kernel spins its whole watchdog budget and
@@ -461,14 +452,9 @@ ProgrammablePrefetcher::executeEvent(unsigned ppu, const Observation &obs,
     // step-limit exhaustion.
     const bool runaway =
         faults_ != nullptr && faults_->fire(FaultSite::kRunaway);
-    // The decoded fast path and the reference interpreter are held
-    // bit-identical by the differential fuzzer, so this choice cannot
-    // affect simulated timing.
     const ExecResult res =
         runaway ? ExecResult{ExitReason::kStepLimit, kMaxKernelSteps, 0}
-        : cfg_.predecode
-            ? DecodedKernel::run(*decodedFor(obs.kernel), ctx, emits)
-            : Interpreter::run(kernels_[obs.kernel], ctx, emits);
+                : Interpreter::run(kernels_[obs.kernel], ctx, emits);
 
     ++stats_.eventsRun;
     ++ppuStats_[ppu].events;
@@ -575,24 +561,6 @@ ProgrammablePrefetcher::pumpBlocked(unsigned ppu)
     }
     if (p.pendingFills == 0)
         releasePpu(ppu, eq_.now());
-}
-
-const DecodedKernel *
-ProgrammablePrefetcher::decodedFor(KernelId id)
-{
-    // Any kernel-table mutation (registration, relocation patching,
-    // reset) moves version(): drop the whole cache and rebuild lazily.
-    // Between mutations this is two loads and a compare per event.
-    if (decodedVersion_ != kernels_.version()) {
-        decoded_.clear();
-        decodedVersion_ = kernels_.version();
-    }
-    if (decoded_.size() < kernels_.size())
-        decoded_.resize(kernels_.size());
-    auto &slot = decoded_[static_cast<std::size_t>(id)];
-    if (!slot)
-        slot = DecodeCache::decode(kernels_[id], cfg_.superblocks);
-    return slot.get();
 }
 
 // ---------------------------------------------------------------------

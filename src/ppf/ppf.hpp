@@ -26,7 +26,6 @@
 
 #include "isa/interpreter.hpp"
 #include "isa/isa.hpp"
-#include "isa/predecode.hpp"
 #include "mem/guest_memory.hpp"
 #include "mem/mem_iface.hpp"
 #include "ppf/ewma.hpp"
@@ -66,35 +65,6 @@ struct PpfConfig
     std::uint64_t initialLookahead = 4;
     /** Overestimation factor on the EWMA-derived distance (Sec. 7.1). */
     std::uint64_t lookaheadScale = 2;
-    /**
-     * Run kernels through the pre-decoded direct-threaded interpreter
-     * (predecode.hpp).  Simulated timing is bit-identical either way —
-     * the differential fuzzer and the golden parity tests prove it —
-     * so this only trades host speed for the reference interpreter's
-     * simplicity (kept as the oracle, and for A/B debugging).
-     */
-    bool predecode = true;
-    /**
-     * Compile proven-trap-free straight-line runs into single decoded
-     * superblock ops (predecode.hpp).  Only meaningful when predecode
-     * is on; architectural behaviour is identical either way (block
-     * cycles are charged as the exact per-block architectural total,
-     * with an op-by-op fallback when the step budget cannot cover the
-     * block), so like predecode this only trades host speed.
-     */
-    bool superblocks = true;
-    /**
-     * Deliver all of a snoop's (or fill's) filter matches to the
-     * observation queue in one batch with a single scheduler pass,
-     * instead of one enqueue + scheduler pass per match.  Identical to
-     * per-match delivery whenever the whole batch fits the queue (the
-     * queue is FIFO and the scheduler drains from the front, so
-     * interleaving pushes with drains cannot change assignment order);
-     * when the batch could overflow, the per-match path is taken so
-     * drop order matches exactly.  Off reproduces per-match delivery
-     * for the A/B parity suite.
-     */
-    bool batchedObservations = true;
     /**
      * Event-storm backpressure throttle: when a single window of
      * stormWindowTicks ticks sees more than stormThreshold queued
@@ -323,18 +293,6 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
     void recordKernelFault(KernelId k, Tick now);
     void logQuarantine(Tick tick, KernelId k, bool kill, unsigned level);
 
-    /**
-     * The decoded program for kernel @p id.  Serves from the local
-     * cache; on the first event after any kernel-table mutation
-     * (detected via KernelTable::version()) the stale cache is dropped
-     * and entries re-intern through the process-wide DecodeCache, so
-     * identical kernels across per-core PPF instances share one
-     * decoded program.  contextSwitch() leaves the table untouched and
-     * therefore preserves the cache; reset() clears the table and so
-     * invalidates it.
-     */
-    const DecodedKernel *decodedFor(KernelId id);
-
     /** Route a fill to its kernel / PPU. */
     void routeFill(const LineRequest &req);
 
@@ -344,10 +302,6 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
     ClockDomain ppuClock_;
 
     KernelTable kernels_;
-    /** Per-kernel decoded programs (shared read-only via DecodeCache). */
-    std::vector<std::shared_ptr<const DecodedKernel>> decoded_;
-    /** kernels_.version() the cache was built against. */
-    std::uint64_t decodedVersion_ = 0;
     FilterTable filters_;
     std::vector<std::uint64_t> globals_;
     unsigned globalsAllocated_ = 0;

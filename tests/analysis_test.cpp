@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "isa/analysis/verifier.hpp"
 #include "isa/builder.hpp"
@@ -155,7 +156,7 @@ TEST(AnalysisTest, ObservationOpsCountAsDefs)
 
 TEST(AnalysisTest, ContextFreeTrapFactsMatchTheInterpreter)
 {
-    // The single-instruction facts the pre-decoder hoists.
+    // The single-instruction facts that terminate a CFG block.
     EXPECT_TRUE(analysis::alwaysTraps(Instr{Opcode::kDivi, 1, 1, 0, 0}));
     EXPECT_FALSE(analysis::alwaysTraps(Instr{Opcode::kDivi, 1, 1, 0, 2}));
     EXPECT_TRUE(analysis::alwaysTraps(Instr{Opcode::kGread, 1, 0, 0, 64}));
@@ -295,11 +296,10 @@ TEST(AnalysisTest, BranchyCostIsLongestPath)
     // The bound is attained: run the fall-through path.
     EventContext ctx;
     ctx.vaddr = 5; // r1 = 5 != r2 = 0, branch not taken
-    unsigned emits = 0;
-    const ExecResult res = Interpreter::run(
-        b.build(), ctx, [&emits](const PrefetchEmit &) { ++emits; });
+    std::vector<PrefetchEmit> emits;
+    const ExecResult res = Interpreter::run(b.build(), ctx, &emits);
     EXPECT_EQ(res.cycles, ka.maxCycles);
-    EXPECT_EQ(emits, ka.maxEmits);
+    EXPECT_EQ(emits.size(), ka.maxEmits);
 }
 
 TEST(AnalysisTest, LoopClassifiedAsWatchdogBounded)
@@ -314,8 +314,7 @@ TEST(AnalysisTest, LoopClassifiedAsWatchdogBounded)
     EXPECT_EQ(ka.maxCycles, kMaxKernelSteps);
 
     EventContext ctx;
-    const ExecResult res =
-        Interpreter::run(b.build(), ctx, [](const PrefetchEmit &) {});
+    const ExecResult res = Interpreter::run(b.build(), ctx, nullptr);
     EXPECT_EQ(res.exit, ExitReason::kStepLimit);
     EXPECT_EQ(res.cycles, ka.maxCycles);
 }

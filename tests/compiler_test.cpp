@@ -79,8 +79,7 @@ execKernel(const EventProgram &prog, std::size_t k, Addr vaddr,
     ctx.lookaheadEntries = 8;
 
     std::vector<PrefetchEmit> emits;
-    Interpreter::run(prog.kernels.at(k), ctx,
-                     [&](const PrefetchEmit &e) { emits.push_back(e); });
+    Interpreter::run(prog.kernels.at(k), ctx, &emits);
     return emits;
 }
 

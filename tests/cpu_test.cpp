@@ -273,8 +273,8 @@ TEST_F(CoreTest, PfConfigKernelMutationMidTraceTakesEffect)
     // Callback-kernel dispatch across a mid-trace reconfiguration: a
     // PfConfig op registers a kernel, a load triggers it, a second
     // PfConfig patches the kernel's code in place (the relocation
-    // idiom), and the next load must run the *patched* program — the
-    // PPF's decoded-program cache has to refresh, not serve stale code.
+    // idiom), and the next load must run the *patched* program, not
+    // stale code.
     ProgrammablePrefetcher ppf(*eq_, *gmem_, PpfConfig{});
     mem_->setListener(&ppf); // no prefetch source: requests stay queued
 
@@ -319,13 +319,11 @@ TEST_F(CoreTest, PfConfigKernelMutationMidTraceTakesEffect)
 
 TEST_F(CoreTest, PfConfigMutationFromTrapFreeToTrappingTakesEffect)
 {
-    // Regression for stale trap-free proofs: the first kernel is proven
-    // trap-free, so the decoded program folds it into a superblock that
-    // skips per-op trap checks.  A mid-trace PfConfig then patches an
-    // interior instruction into an unconditional trap (divi #0).  The
-    // version() bump must force a full re-decode — superblock bitmap
-    // included — so the next event traps instead of executing the old
-    // proven-safe block and emitting from stale code.
+    // Regression for stale kernel code: the first kernel is proven
+    // trap-free.  A mid-trace PfConfig then patches an interior
+    // instruction into an unconditional trap (divi #0).  The PPF must
+    // run the patched code, so the next event traps instead of
+    // emitting from the old proven-safe kernel.
     ProgrammablePrefetcher ppf(*eq_, *gmem_, PpfConfig{});
     mem_->setListener(&ppf);
 

@@ -10,7 +10,7 @@
  *  - the strict-improvement pin: the clamp-arm div in
  *    on_vertex_prefetch may trap under the instruction-local facts of
  *    the old analysis but is proven trap-free by the value analysis,
- *    and the decoder consumes that proof;
+ *    and analyzeKernel exports that proof;
  *  - interval soundness exactly at the i64 overflow boundaries;
  *  - known-bits through the and[i] + shli + add hash-bucket quad.
  */
@@ -22,7 +22,6 @@
 #include "isa/analysis/dataflow.hpp"
 #include "isa/analysis/verifier.hpp"
 #include "isa/builder.hpp"
-#include "isa/predecode.hpp"
 
 namespace epf
 {
@@ -149,17 +148,12 @@ TEST(DataflowTest, ClampArmDivProvenTrapFreeWhereOldFactsCannot)
     EXPECT_FALSE(df.mayTrapPc[divPc]);
     EXPECT_TRUE(df.provenTrapFree(divPc));
 
-    // analyzeKernel exports the proof in its per-pc bitmap...
+    // analyzeKernel exports the proof in its per-pc bitmap.
     const analysis::KernelAnalysis ka = analysis::analyzeKernel(k, ctx);
     ASSERT_EQ(ka.trapFreePc.size(), k.code.size());
     EXPECT_EQ(ka.trapFreePc[divPc], 1);
-
-    // ...and the decoder consumes it: the pc is trap-free in the
-    // decode-time (nothing-assumed) context too.
-    const DecodedKernel dk(k);
-    EXPECT_TRUE(dk.provenTrapFree(divPc));
     // The ldLine pcs, by contrast, may trap on line-less events.
-    EXPECT_FALSE(dk.provenTrapFree(1));
+    EXPECT_EQ(ka.trapFreePc[1], 0);
 }
 
 TEST(DataflowTest, AdditionOverflowAtI64BoundaryStaysSound)

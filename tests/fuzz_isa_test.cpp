@@ -10,13 +10,6 @@
  * identical bytes and (b) execute with identical effects: exit reason,
  * cycle count, and the exact emitted prefetch sequence.
  *
- * Differential harness: every program additionally runs through the
- * pre-decoded direct-threaded interpreter (predecode.hpp) at several
- * step budgets — including tiny ones that truncate execution in the
- * middle of a fused macro-op — and must match the reference switch
- * interpreter bit-for-bit: exit reason, cycle count, the emit
- * sequence, and the final register file.
- *
  * Dataflow soundness oracle: every program is also run through the
  * abstract interpreter (analysis/dataflow.hpp) under a context that
  * states exactly the facts of the concrete event, then traced on the
@@ -42,7 +35,6 @@
 #include "isa/builder.hpp"
 #include "isa/disasm.hpp"
 #include "isa/interpreter.hpp"
-#include "isa/predecode.hpp"
 #include "sim/rng.hpp"
 
 namespace epf
@@ -109,69 +101,11 @@ Effects
 execute(const Kernel &k, const EventContext &ctx)
 {
     Effects fx;
-    const ExecResult res = Interpreter::run(
-        k, ctx, [&fx](const PrefetchEmit &e) { fx.emits.push_back(e); },
-        kFuzzSteps);
+    const ExecResult res = Interpreter::run(k, ctx, &fx.emits, kFuzzSteps);
     fx.exit = res.exit;
     fx.cycles = res.cycles;
     fx.emitted = res.emitted;
     return fx;
-}
-
-/**
- * Differential check: the pre-decoded interpreter — in both modes,
- * superblocks on (the PPF default) and off (the PR 5 fused-macro-op
- * baseline) — must match the reference switch interpreter bit-for-bit
- * on @p code: exit reason, cycles, emit sequence and the final
- * register file, at the full fuzz budget and at tiny budgets chosen to
- * truncate execution inside fused macro-ops and superblocks.
- */
-void
-checkDecodedMatchesReference(const std::vector<Instr> &code,
-                             const EventContext &ctx,
-                             const std::string &what)
-{
-    const Kernel k{"fuzz", code};
-    const DecodedKernel dkSb(k, /*superblocks=*/true);
-    const DecodedKernel dkPlain(k, /*superblocks=*/false);
-    for (unsigned max_steps : {kFuzzSteps, 7u, 2u, 1u}) {
-        std::vector<PrefetchEmit> refEmits;
-        std::uint64_t refRegs[kPpuRegs];
-        const ExecResult ref = Interpreter::run(
-            k, ctx,
-            [&](const PrefetchEmit &e) { refEmits.push_back(e); },
-            max_steps, refRegs);
-
-        for (const DecodedKernel *dk : {&dkSb, &dkPlain}) {
-            std::vector<PrefetchEmit> decEmits;
-            std::uint64_t decRegs[kPpuRegs];
-            const ExecResult dec = DecodedKernel::run(
-                *dk, ctx,
-                [&](const PrefetchEmit &e) { decEmits.push_back(e); },
-                max_steps, decRegs);
-
-            const std::string where =
-                what + " @max_steps=" + std::to_string(max_steps) +
-                (dk->superblocksEnabled() ? " [superblocks]"
-                                          : " [decoded]");
-            ASSERT_EQ(ref.exit, dec.exit)
-                << where << ": exit reason diverged\n" << disassemble(k);
-            ASSERT_EQ(ref.cycles, dec.cycles)
-                << where << ": cycle count diverged\n" << disassemble(k);
-            ASSERT_EQ(ref.emitted, dec.emitted)
-                << where << ": emit count diverged\n" << disassemble(k);
-            ASSERT_EQ(refEmits.size(), decEmits.size()) << where;
-            for (std::size_t i = 0; i < refEmits.size(); ++i) {
-                ASSERT_TRUE(refEmits[i].vaddr == decEmits[i].vaddr &&
-                            refEmits[i].tag == decEmits[i].tag &&
-                            refEmits[i].cbKernel == decEmits[i].cbKernel)
-                    << where << ": emit " << i << " diverged\n"
-                    << disassemble(k);
-            }
-            ASSERT_EQ(0, std::memcmp(refRegs, decRegs, sizeof(refRegs)))
-                << where << ": register file diverged\n" << disassemble(k);
-        }
-    }
 }
 
 /** All opcodes the generator draws from (every ISA instruction). */
@@ -417,17 +351,19 @@ checkAnalyzerAgrees(const Kernel &k, const EventContext &ctx,
     ASSERT_LE(fx.emitted, ka.maxEmits)
         << what << ": observed emits exceed the static bound\n"
         << disassemble(k);
-    if (ka.provenTrapFree)
+    if (ka.provenTrapFree) {
         ASSERT_NE(fx.exit, ExitReason::kTrapped)
             << what << ": kernel proven trap-free trapped\n"
             << disassemble(k);
+    }
     // An acyclic kernel can execute at most code.size() < kFuzzSteps
     // instructions, so only a kernel with a CFG cycle can hit the
     // step limit.
-    if (ka.acyclic)
+    if (ka.acyclic) {
         ASSERT_NE(fx.exit, ExitReason::kStepLimit)
             << what << ": acyclic kernel hit the watchdog\n"
             << disassemble(k);
+    }
 }
 
 /** Does executing @p in with register state @p regs trap, concretely?
@@ -526,11 +462,12 @@ checkDataflowSound(const std::vector<Instr> &code, const EventContext &ctx,
     // the pc leaving [0, size) afterwards (the boundary trap, which
     // never traces).  Only the former indicts a trap-free proof.
     if (res.exit == ExitReason::kTrapped && stepped &&
-        concreteTraps(code[lastPc], lastRegs, ctx))
+        concreteTraps(code[lastPc], lastRegs, ctx)) {
         ASSERT_FALSE(df.provenTrapFree(lastPc))
             << what << ": pc " << lastPc
             << " trapped but the analysis proved it trap-free\n"
             << disassemble(k);
+    }
 }
 
 void
@@ -557,7 +494,6 @@ checkProgram(const std::vector<Instr> &code, const EventContext &ctx,
 
     checkAnalyzerAgrees(raw, ctx, fx_raw, what);
     checkDataflowSound(code, ctx, what);
-    checkDecodedMatchesReference(code, ctx, what);
 }
 
 TEST(IsaFuzz, EveryOpcodeRoundTripsDeterministically)
@@ -591,7 +527,7 @@ TEST(IsaFuzz, EveryOpcodeRoundTripsDeterministically)
 TEST(IsaFuzz, DivOverflowSeed)
 {
     // Directed seed for the signed-division UB fix: INT64_MIN / -1
-    // must trap (like /0) in both divide forms and both interpreters,
+    // must trap (like /0) in both divide forms,
     // while the two individually-benign halves still divide.
     const std::int64_t min = std::numeric_limits<std::int64_t>::min();
     Rng rng(11);

@@ -82,160 +82,5 @@ INSTANTIATE_TEST_SUITE_P(
         return out;
     });
 
-/**
- * End-to-end A/B proof for the pre-decoded interpreter: a PPF-heavy
- * cell re-run with the reference switch interpreter (predecode off)
- * must reproduce the checked-in golden byte-for-byte — i.e. the fast
- * path cannot have changed a single simulated event.  The kernel-level
- * equivalence is fuzzed exhaustively in fuzz_isa_test; this pins the
- * full stack (scheduling, EWMA, queue timing, chained callbacks).
- */
-class InterpreterParity
-    : public ::testing::TestWithParam<std::tuple<std::string, Technique>>
-{
-};
-
-TEST_P(InterpreterParity, ReferenceInterpreterMatchesGolden)
-{
-    const GoldenCell cell{std::get<0>(GetParam()), std::get<1>(GetParam())};
-    const std::string file = goldenDir() + "/" + goldenFileName(cell);
-
-    std::ifstream is(file, std::ios::binary);
-    ASSERT_TRUE(is) << "missing golden " << file;
-    std::ostringstream want;
-    want << is.rdbuf();
-
-    RunConfig cfg = goldenConfig(cell.technique);
-    cfg.ppf.predecode = false; // force the reference oracle
-    const RunResult res = runExperiment(cell.workload, cfg);
-    const std::string got = goldenStatsJson(cell, res);
-
-    EXPECT_EQ(want.str(), got)
-        << cell.workload << " / " << techniqueName(cell.technique)
-        << ": the reference and pre-decoded interpreters produced "
-           "different simulated stats (first divergence at line "
-        << firstDifferingLine(want.str(), got) << ").";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    PpfHeavyCells, InterpreterParity,
-    ::testing::Values(
-        std::make_tuple(std::string("RandAcc"), Technique::kManual),
-        std::make_tuple(std::string("HJ-8"), Technique::kManual),
-        std::make_tuple(std::string("G500-List"),
-                        Technique::kManualBlocked)),
-    [](const auto &info) {
-        std::string n = std::get<0>(info.param) + "_" +
-                        techniqueName(std::get<1>(info.param));
-        std::string out;
-        for (char c : n)
-            if (std::isalnum(static_cast<unsigned char>(c)))
-                out += c;
-        return out;
-    });
-
-/**
- * Same end-to-end A/B proof one layer up: the PPF-heavy cells re-run
- * with the pre-decoded interpreter but superblock formation OFF must
- * also reproduce the goldens byte-for-byte, isolating the superblock
- * layer (the default path that produced the goldens) from the
- * fused-macro-op layer below it.
- */
-class SuperblockParity
-    : public ::testing::TestWithParam<std::tuple<std::string, Technique>>
-{
-};
-
-TEST_P(SuperblockParity, SuperblocksOffMatchesGolden)
-{
-    const GoldenCell cell{std::get<0>(GetParam()), std::get<1>(GetParam())};
-    const std::string file = goldenDir() + "/" + goldenFileName(cell);
-
-    std::ifstream is(file, std::ios::binary);
-    ASSERT_TRUE(is) << "missing golden " << file;
-    std::ostringstream want;
-    want << is.rdbuf();
-
-    RunConfig cfg = goldenConfig(cell.technique);
-    cfg.ppf.predecode = true;
-    cfg.ppf.superblocks = false; // PR 5 decoded baseline
-    const RunResult res = runExperiment(cell.workload, cfg);
-    const std::string got = goldenStatsJson(cell, res);
-
-    EXPECT_EQ(want.str(), got)
-        << cell.workload << " / " << techniqueName(cell.technique)
-        << ": superblocks on vs off produced different simulated stats "
-           "(first divergence at line "
-        << firstDifferingLine(want.str(), got) << ").";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    PpfHeavyCells, SuperblockParity,
-    ::testing::Values(
-        std::make_tuple(std::string("RandAcc"), Technique::kManual),
-        std::make_tuple(std::string("HJ-8"), Technique::kManual),
-        std::make_tuple(std::string("G500-List"),
-                        Technique::kManualBlocked)),
-    [](const auto &info) {
-        std::string n = std::get<0>(info.param) + "_" +
-                        techniqueName(std::get<1>(info.param));
-        std::string out;
-        for (char c : n)
-            if (std::isalnum(static_cast<unsigned char>(c)))
-                out += c;
-        return out;
-    });
-
-/**
- * A/B proof for same-tick event batching: every cell of the full
- * matrix re-run with batched delivery OFF everywhere — per-event MSHR
- * fill waiters, per-bank arbiter grant events, per-match observation
- * enqueues — must reproduce the checked-in goldens (which were recorded
- * with batching ON, the default) byte-for-byte.  This is the claim that
- * batching is timing-pure: it changes how same-tick events are carried,
- * never what they do or in which order.
- */
-class BatchParity
-    : public ::testing::TestWithParam<std::tuple<std::string, Technique>>
-{
-};
-
-TEST_P(BatchParity, PerEventDeliveryMatchesGolden)
-{
-    const GoldenCell cell{std::get<0>(GetParam()), std::get<1>(GetParam())};
-    const std::string file = goldenDir() + "/" + goldenFileName(cell);
-
-    std::ifstream is(file, std::ios::binary);
-    ASSERT_TRUE(is) << "missing golden " << file;
-    std::ostringstream want;
-    want << is.rdbuf();
-
-    RunConfig cfg = goldenConfig(cell.technique);
-    cfg.mem.batchedDelivery = false; // seeds both cache levels + arbiter
-    cfg.ppf.batchedObservations = false;
-    const RunResult res = runExperiment(cell.workload, cfg);
-    const std::string got = goldenStatsJson(cell, res);
-
-    EXPECT_EQ(want.str(), got)
-        << cell.workload << " / " << techniqueName(cell.technique)
-        << ": batched vs per-event delivery produced different simulated "
-           "stats (first divergence at line "
-        << firstDifferingLine(want.str(), got) << ").";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllCells, BatchParity,
-    ::testing::Combine(::testing::ValuesIn(workloadNames()),
-                       ::testing::ValuesIn(goldenTechniques())),
-    [](const auto &info) {
-        std::string n = std::get<0>(info.param) + "_" +
-                        techniqueName(std::get<1>(info.param));
-        std::string out;
-        for (char c : n)
-            if (std::isalnum(static_cast<unsigned char>(c)))
-                out += c;
-        return out;
-    });
-
 } // namespace
 } // namespace epf

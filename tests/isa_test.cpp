@@ -27,12 +27,11 @@ evalR1(KernelBuilder &b, const EventContext &ctx, ExitReason *exit = nullptr)
 {
     b.prefetch(1).halt();
     Kernel k = b.build();
-    std::uint64_t result = 0;
-    ExecResult r = Interpreter::run(
-        k, ctx, [&](const PrefetchEmit &e) { result = e.vaddr; });
+    std::vector<PrefetchEmit> emits;
+    ExecResult r = Interpreter::run(k, ctx, &emits);
     if (exit != nullptr)
         *exit = r.exit;
-    return result;
+    return emits.empty() ? 0 : emits.back().vaddr;
 }
 
 EventContext
@@ -305,8 +304,7 @@ TEST(InterpreterTest, PrefetchVariantsCarryMetadata)
     Kernel k = b.build();
 
     std::vector<PrefetchEmit> emits;
-    ExecResult r = Interpreter::run(
-        k, plainCtx(), [&](const PrefetchEmit &e) { emits.push_back(e); });
+    ExecResult r = Interpreter::run(k, plainCtx(), &emits);
     EXPECT_EQ(r.exit, ExitReason::kHalted);
     ASSERT_EQ(emits.size(), 3u);
     EXPECT_EQ(emits[0].tag, -1);
@@ -323,6 +321,62 @@ TEST(InterpreterTest, CyclesMatchInstructionCount)
     Kernel k = b.build();
     ExecResult r = Interpreter::run(k, plainCtx(), nullptr);
     EXPECT_EQ(r.cycles, 4u);
+}
+
+TEST(InterpreterTest, BoundaryAndWildBranchesTrap)
+{
+    // Falling off the end traps without charging a cycle for the
+    // missing fetch; the instructions before it keep their effects.
+    {
+        KernelBuilder b("falloff");
+        b.li(1, 1).addi(1, 1, 1); // no halt
+        std::uint64_t regs[kPpuRegs];
+        ExecResult r = Interpreter::run(b.build(), plainCtx(), nullptr,
+                                        kMaxKernelSteps, regs);
+        EXPECT_EQ(r.exit, ExitReason::kTrapped);
+        EXPECT_EQ(r.cycles, 2u);
+        EXPECT_EQ(regs[1], 2u);
+    }
+    // A jump out of range in either direction is charged, then traps.
+    {
+        Kernel k{"wild", {Instr{Opcode::kJmp, 0, 0, 0, 1000},
+                          Instr{Opcode::kHalt, 0, 0, 0, 0}}};
+        ExecResult r = Interpreter::run(k, plainCtx(), nullptr);
+        EXPECT_EQ(r.exit, ExitReason::kTrapped);
+        EXPECT_EQ(r.cycles, 1u);
+    }
+    {
+        Kernel k{"neg", {Instr{Opcode::kJmp, 0, 0, 0, -55}}};
+        ExecResult r = Interpreter::run(k, plainCtx(), nullptr);
+        EXPECT_EQ(r.exit, ExitReason::kTrapped);
+        EXPECT_EQ(r.cycles, 1u);
+    }
+}
+
+TEST(InterpreterTest, OutOfEnumOpcodeIsAChargedNop)
+{
+    // An opcode byte outside the enum (only constructible from raw
+    // Instr structs) is charged a cycle and otherwise ignored: it
+    // neither traps nor writes its rd.
+    Kernel k{"weird", {Instr{Opcode::kLi, 1, 0, 0, 5},
+                       Instr{static_cast<Opcode>(200), 1, 2, 3, 7},
+                       Instr{Opcode::kHalt, 0, 0, 0, 0}}};
+    std::uint64_t regs[kPpuRegs];
+    ExecResult r =
+        Interpreter::run(k, plainCtx(), nullptr, kMaxKernelSteps, regs);
+    EXPECT_EQ(r.exit, ExitReason::kHalted);
+    EXPECT_EQ(r.cycles, 3u);
+    EXPECT_EQ(r.emitted, 0u);
+    EXPECT_EQ(regs[1], 5u);
+}
+
+TEST(InterpreterTest, EmptyKernelTrapsWithZeroCycles)
+{
+    const Kernel k{"empty", {}};
+    ExecResult r = Interpreter::run(k, plainCtx(), nullptr);
+    EXPECT_EQ(r.exit, ExitReason::kTrapped);
+    EXPECT_EQ(r.cycles, 0u);
+    EXPECT_EQ(r.emitted, 0u);
 }
 
 TEST(KernelTableTest, AddAndFootprint)

@@ -38,9 +38,10 @@ collectWarnings(const std::string &wl, const KernelTable &table,
                 << where << ": " << analysis::formatDiag(d);
             // Every pc-anchored diag carries the disassembled
             // instruction text (kernel- and table-wide ones cannot).
-            if (d.pc != analysis::kNoPc)
+            if (d.pc != analysis::kNoPc) {
                 EXPECT_FALSE(d.instrText.empty())
                     << where << ": " << analysis::formatDiag(d);
+            }
             warnings.push_back(where + ":[" +
                                analysis::diagCodeName(d.code) + "]");
         }

@@ -720,18 +720,16 @@ class SaturatingSource : public PrefetchSource
 
 TEST(HierarchyTest, PrefetchIssueNeverTakesReservedDemandMshrs)
 {
-    // The demandReservedMshrs contract under strictPfReservation: with
-    // R MSHRs reserved, a prefetch may only take an MSHR while free >
-    // R — including requests whose translations were in flight when
-    // the file filled (the legacy pipeline lands those anyway, a
-    // transient dip bounded by the translation window; see MemParams).
+    // The demandReservedMshrs contract: with R MSHRs reserved, a
+    // prefetch may only take an MSHR while free > R — including
+    // requests whose translations were in flight when the file filled
+    // (re-checked when the translation lands; see MemParams).
     EventQueue eq;
     GuestMemory gm;
     std::vector<std::uint64_t> buf(1 << 16, 5); // 512 KB
     Addr va = gm.addRegion("buf", buf.data(), buf.size() * 8);
     MemParams p = MemParams::defaults();
     p.demandReservedMshrs = 2;
-    p.strictPfReservation = true;
     MemoryHierarchy mem(eq, gm, p);
 
     SaturatingSource src(va, 4096, 2000);

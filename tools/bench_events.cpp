@@ -4,21 +4,19 @@
  *
  * Times the EventQueue's same-tick delivery paths — per-event schedule()
  * against the pooled scheduleBatch() carrier — in the micro_components
- * form (ns per delivered event), times hot-counter updates by name
- * against interned StatRegistry handles, and runs small fig9a/fig9b
- * end-to-end smokes (scale 0.02) with the hierarchy's delivery batching
- * on and off.  Writes a BENCH_events.json summary — the event-path
- * point of the repo's perf trajectory, regenerated by CI on every push.
+ * form (ns per delivered event), and times hot-counter updates by name
+ * against interned StatRegistry handles.  Writes a BENCH_events.json
+ * summary — the event-path point of the repo's perf trajectory,
+ * regenerated by CI on every push.
  *
  *   ./build/bench_events [out.json]     # default BENCH_events.json
  *   EPF_BENCH_QUICK=1 ./build/bench_events   # CI smoke: fewer reps
  *
- * Schema (BENCH_events/v1): per-benchmark ns/event for per-event and
- * batched delivery plus batchedSpeedup (per-event / batched), statIntern
- * ns/update by name and by handle, and end-to-end hostSeconds for the
- * smoke cells with batching on/off plus deliverySpeedup.  The batched
- * paths are timing-pure (the tier-2 BatchParity suite byte-compares
- * them against the goldens), so these ratios are pure host speed.
+ * Schema (BENCH_events/v2): per-benchmark ns/event for per-event and
+ * batched delivery plus batchedSpeedup (per-event / batched), and
+ * statIntern ns/update by name and by handle plus their speedup.  Both
+ * carriers deliver the same callbacks in the same order, so these
+ * ratios are pure host speed.
  */
 
 #include <algorithm>
@@ -28,8 +26,8 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
-#include "runner/experiment.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/stats.hpp"
 
@@ -86,7 +84,7 @@ timeDrain(const std::string &name, unsigned fanout, Tick delay, int reps)
         return (now() - t0) * 1e9 / (static_cast<double>(reps) * fanout);
     };
 
-    // Interleaved best-of rounds (the bench_interp idiom): host
+    // Interleaved best-of rounds: host
     // frequency drift hits both paths roughly equally, and the ratio is
     // what the trajectory tracks.
     runPerEvent();
@@ -146,48 +144,6 @@ timeIntern(int reps)
     return r;
 }
 
-struct SmokeResult
-{
-    std::string workload;
-    double batchedSeconds = 0;
-    double perEventSeconds = 0;
-    double deliverySpeedup = 0;
-};
-
-/**
- * One end-to-end cell (Manual technique), batching on vs off.  The off
- * mode restores per-event MSHR/arbiter/observation delivery — exactly
- * what the tier-2 BatchParity suite proves stat-byte-identical — so the
- * ratio isolates the producer-coalescing share of the event-path win.
- */
-SmokeResult
-runSmoke(const std::string &workload, Tick ppu_period)
-{
-    auto cell = [&](bool batched) {
-        RunConfig cfg;
-        cfg.technique = Technique::kManual;
-        cfg.scale.factor = 0.02;
-        cfg.ppf.ppuPeriod = ppu_period;
-        cfg.mem.batchedDelivery = batched;
-        cfg.ppf.batchedObservations = batched;
-        const double t0 = now();
-        runExperiment(workload, cfg);
-        return now() - t0;
-    };
-
-    cell(true); // warm (page cache, allocator)
-    SmokeResult r;
-    r.workload = workload;
-    r.batchedSeconds = 1e99;
-    r.perEventSeconds = 1e99;
-    for (int round = 0; round < 2; ++round) {
-        r.perEventSeconds = std::min(r.perEventSeconds, cell(false));
-        r.batchedSeconds = std::min(r.batchedSeconds, cell(true));
-    }
-    r.deliverySpeedup = r.perEventSeconds / r.batchedSeconds;
-    return r;
-}
-
 } // namespace
 
 int
@@ -207,15 +163,8 @@ main(int argc, char **argv)
 
     const InternResult intern = timeIntern(reps);
 
-    // fig9a smoke (PPU-clock figure): RandAcc, Manual @ 1 GHz — the
-    // event-bound cell (dependent-load storms keep the MSHR merge and
-    // observation paths saturated).  fig9b smoke: G500-CSR, the fig9b
-    // workload, same clock.
-    const SmokeResult fig9a = runSmoke("RandAcc", 16);
-    const SmokeResult fig9b = runSmoke("G500-CSR", 16);
-
     std::ofstream os(out, std::ios::trunc);
-    os << "{\n  \"schema\": \"BENCH_events/v1\",\n";
+    os << "{\n  \"schema\": \"BENCH_events/v2\",\n";
     os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     os << "  \"benchmarks\": {\n";
     for (std::size_t i = 0; i < drains.size(); ++i) {
@@ -227,19 +176,7 @@ main(int argc, char **argv)
     os << "    \"BM_StatHotCounter\": { \"byNameNs\": " << intern.byNameNs
        << ", \"byHandleNs\": " << intern.byHandleNs
        << ", \"speedup\": " << intern.speedup << " }\n";
-    os << "  },\n";
-    auto smoke = [&os](const char *key, const SmokeResult &r, bool last) {
-        os << "  \"" << key << "\": {\n"
-           << "    \"workload\": \"" << r.workload
-           << "\", \"scale\": 0.02, \"technique\": \"Manual_1GHz\",\n"
-           << "    \"hostSeconds\": { \"batched\": " << r.batchedSeconds
-           << ", \"perEvent\": " << r.perEventSeconds
-           << " }, \"deliverySpeedup\": " << r.deliverySpeedup << "\n  }"
-           << (last ? "\n" : ",\n");
-    };
-    smoke("fig9a_smoke", fig9a, false);
-    smoke("fig9b_smoke", fig9b, true);
-    os << "}\n";
+    os << "  }\n}\n";
     os.close();
 
     for (const auto &r : drains)
@@ -249,12 +186,6 @@ main(int argc, char **argv)
     std::cout << "BM_StatHotCounter: by-name " << intern.byNameNs
               << " ns, by-handle " << intern.byHandleNs << " ns ("
               << intern.speedup << "x)\n";
-    std::cout << "fig9a smoke (RandAcc @0.02, Manual@1GHz): batched "
-              << fig9a.batchedSeconds << "s, per-event "
-              << fig9a.perEventSeconds << "s\n";
-    std::cout << "fig9b smoke (G500-CSR @0.02, Manual@1GHz): batched "
-              << fig9b.batchedSeconds << "s, per-event "
-              << fig9b.perEventSeconds << "s\n";
     std::cout << "wrote " << out << "\n";
     return 0;
 }
