@@ -289,13 +289,11 @@ Cache::handleFill(Mshr &m)
     // free hook and drain the overflow queue — then schedule the
     // waiters, preserving the original event ordering.  A completion
     // storm (several demands merged onto one miss) is delivered as one
-    // batched event rather than one event per waiter; the waiters were
-    // enqueued back-to-back, so consecutive delivery is observably
-    // identical.
+    // batched event rather than one event per waiter.
     assert(fillWaiters_.empty());
     fillWaiters_.swap(m.waiters);
     releaseMshr(m);
-    if (fillWaiters_.size() > 1) {
+    if (p_.batchedDelivery && fillWaiters_.size() > 1) {
         EventQueue::Batch b = eq_.takeBatch();
         b.reserve(fillWaiters_.size());
         for (auto &w : fillWaiters_)

@@ -9,6 +9,8 @@ CorePort::CorePort(EventQueue &eq, GuestMemory &mem, Uncore &uncore,
                    const MemParams &params, unsigned portId)
     : eq_(eq), mem_(mem), p_(params), portId_(portId)
 {
+    // The memory-system master switch seeds the per-level flag.
+    p_.l1.batchedDelivery = p_.batchedDelivery;
     l1_ = std::make_unique<Cache>(eq_, p_.l1, uncore.port(portId_));
     tlb_ = std::make_unique<Tlb>(eq_, p_.tlb, uncore.pageTable(),
                                  uncore.port(portId_));

@@ -50,6 +50,7 @@ Uncore::Uncore(EventQueue &eq, GuestMemory &mem, const MemParams &params,
     banks_.resize(banks);
     for (unsigned b = 0; b < banks; ++b) {
         CacheParams bp = p_.l2;
+        bp.batchedDelivery = p_.batchedDelivery;
         bp.sizeBytes = p_.l2.sizeBytes / banks;
         bp.mshrs = p_.l2.mshrs / banks > 0 ? p_.l2.mshrs / banks : 1;
         if (banks > 1)
@@ -112,11 +113,20 @@ Uncore::portRead(unsigned port, const LineRequest &req, DoneFn done)
         return;
     }
     bank.queues[port].push_back(Pending{req, std::move(done)});
-    // An idle bank's next grant slot is the current tick; the shared
-    // wake event drains every due bank at once.
-    if (bank.nextGrantAt == kTickMax) {
-        bank.nextGrantAt = eq_.now();
-        armArb(eq_.now());
+    if (p_.batchedDelivery) {
+        // An idle bank's next grant slot is the current tick; the
+        // shared wake event drains every due bank at once.
+        if (bank.nextGrantAt == kTickMax) {
+            bank.nextGrantAt = eq_.now();
+            armArb(eq_.now());
+        }
+        return;
+    }
+    if (!bank.granting) {
+        bank.granting = true;
+        // An idle arbiter grants in the current tick; contention is
+        // serialised at one grant per l2ArbPeriod below.
+        eq_.scheduleIn(0, [this, idx] { grant(idx); });
     }
 }
 
@@ -162,6 +172,27 @@ Uncore::grantOne(Bank &bank)
 }
 
 void
+Uncore::grant(unsigned bank_idx)
+{
+    Bank &bank = banks_[bank_idx];
+    if (!bankHasWork(bank)) {
+        bank.granting = false;
+        return;
+    }
+
+    // Pace only while work is actually queued: the next grant slot is
+    // one l2ArbPeriod out.  When the queues drain, the arbiter goes
+    // idle and the next arriving request is granted in its own tick —
+    // an uncontended port sees the same latency as the single-port
+    // bypass.
+    if (grantOne(bank)) {
+        eq_.scheduleIn(p_.l2ArbPeriod, [this, bank_idx] { grant(bank_idx); });
+    } else {
+        bank.granting = false;
+    }
+}
+
+void
 Uncore::armArb(Tick when)
 {
     if (arbWakeAt_ <= when)
@@ -179,13 +210,11 @@ Uncore::armArb(Tick when)
 void
 Uncore::arbDrain()
 {
-    // One pass grants every bank whose slot is due this tick.  A bank
-    // paces at one grant per l2ArbPeriod only while work is queued;
-    // once its queues drain it goes idle, and the next arriving request
-    // is granted in its own tick — an uncontended port sees the same
-    // latency as the single-port bypass.  arbDrain always re-arms from
-    // full bank state, so orphaned (superseded) wake events lose
-    // nothing.
+    // One pass grants every bank whose slot is due this tick — the
+    // same per-bank grant ticks and round-robin picks as the legacy
+    // per-bank events, minus the per-bank event traffic.  arbDrain
+    // always re-arms from full bank state, so orphaned (superseded)
+    // wake events lose nothing.
     const Tick now = eq_.now();
     Tick next = kTickMax;
     for (Bank &bank : banks_) {

@@ -62,6 +62,19 @@ struct MemParams
     unsigned l2Banks = 0;
     /** Ticks between round-robin L2 grants when ports contend. */
     Tick l2ArbPeriod = 5;
+    /**
+     * Coalesce same-tick event delivery through the hierarchy: the L2
+     * bank arbiters share one wake event per tick that grants every
+     * bank due at that tick in one drain (instead of one event per
+     * bank), and both cache levels deliver MSHR fill waiters as one
+     * batched event (seeds CacheParams::batchedDelivery).  Single-port
+     * machines bypass arbitration entirely, so golden (cores = 1) runs
+     * are byte-identical either way; multi-core runs stay deterministic
+     * but may order same-tick grants differently from the legacy
+     * per-bank events.  Off restores per-event delivery for the A/B
+     * parity suite.
+     */
+    bool batchedDelivery = true;
 
     /** Table 1 defaults. */
     static MemParams defaults();
@@ -148,7 +161,10 @@ class Uncore : public CoherenceHub
         /** Per-port request queues the arbiter grants from. */
         std::vector<Ring<Pending>> queues;
         unsigned rrNext = 0;
-        /** Tick of this bank's next grant slot (kTickMax when idle). */
+        /** Legacy (per-event) arbiter: a grant event is outstanding. */
+        bool granting = false;
+        /** Coalesced arbiter: tick of this bank's next grant slot
+         *  (kTickMax when idle). */
         Tick nextGrantAt = kTickMax;
     };
 
@@ -163,14 +179,17 @@ class Uncore : public CoherenceHub
     unsigned bankOf(Addr paddr) const;
     void portRead(unsigned port, const LineRequest &req, DoneFn done);
     void portWrite(unsigned port, const LineRequest &req);
+    /** Legacy per-bank grant event (batchedDelivery off). */
+    void grant(unsigned bank);
     /** True if any port queue of @p bank holds a request. */
     bool bankHasWork(const Bank &bank) const;
     /** Issue one round-robin grant on @p bank (requires queued work);
      *  returns true if requests remain queued afterwards. */
     bool grantOne(Bank &bank);
-    /** Ensure an arbiter wake event no later than @p when. */
+    /** Coalesced arbiter: ensure a wake event no later than @p when. */
     void armArb(Tick when);
-    /** Grant every bank due now, re-arm for the earliest future slot. */
+    /** Coalesced arbiter: grant every bank due now, re-arm for the
+     *  earliest future slot. */
     void arbDrain();
     void invalidateOthers(unsigned port, Addr line_addr, DirEntry &e);
 
@@ -186,8 +205,8 @@ class Uncore : public CoherenceHub
     std::vector<Cache *> l1s_;
     std::unordered_map<Addr, DirEntry> dir_;
 
-    /** Tick of the live arbiter wake event (kTickMax when none) and its
-     *  generation (earlier re-arms orphan stale wakes). */
+    /** Coalesced arbiter: tick of the live wake event (kTickMax when
+     *  none) and its generation (earlier re-arms orphan stale wakes). */
     Tick arbWakeAt_ = kTickMax;
     std::uint64_t arbGen_ = 0;
 

@@ -166,9 +166,13 @@ ProgrammablePrefetcher::notifyDemand(Addr vaddr, bool is_load, bool hit,
             obs.timedStart = now;
             obs.timedOrigin = static_cast<std::int16_t>(idx);
         }
-        obsScratch_.push_back(std::move(obs));
+        if (cfg_.batchedObservations)
+            obsScratch_.push_back(std::move(obs));
+        else
+            enqueueObservation(std::move(obs));
     });
-    flushObservationScratch();
+    if (cfg_.batchedObservations)
+        flushObservationScratch();
 }
 
 void
@@ -255,7 +259,10 @@ ProgrammablePrefetcher::routeFill(const LineRequest &req)
             ++stats_.obsNoData;
             return;
         }
-        obsScratch_.push_back(std::move(obs));
+        if (cfg_.batchedObservations)
+            obsScratch_.push_back(std::move(obs));
+        else
+            enqueueObservation(std::move(obs));
     };
 
     if (k != kNoKernel) {
@@ -266,7 +273,8 @@ ProgrammablePrefetcher::routeFill(const LineRequest &req)
                 makeObs(e.onPrefetch);
         });
     }
-    flushObservationScratch();
+    if (cfg_.batchedObservations)
+        flushObservationScratch();
 }
 
 void

@@ -66,6 +66,18 @@ struct PpfConfig
     /** Overestimation factor on the EWMA-derived distance (Sec. 7.1). */
     std::uint64_t lookaheadScale = 2;
     /**
+     * Deliver all of a snoop's (or fill's) filter matches to the
+     * observation queue in one batch with a single scheduler pass,
+     * instead of one enqueue + scheduler pass per match.  Identical to
+     * per-match delivery whenever the whole batch fits the queue (the
+     * queue is FIFO and the scheduler drains from the front, so
+     * interleaving pushes with drains cannot change assignment order);
+     * when the batch could overflow, the per-match path is taken so
+     * drop order matches exactly.  Off reproduces per-match delivery
+     * for the A/B parity suite.
+     */
+    bool batchedObservations = true;
+    /**
      * Event-storm backpressure throttle: when a single window of
      * stormWindowTicks ticks sees more than stormThreshold queued
      * prefetch requests, the remainder of the window is dropped with a

@@ -62,6 +62,15 @@ struct AluCase
     std::uint64_t expect;
 };
 
+// Print a case by its name: gtest's default byte dump would include the
+// name pointer, which ASLR moves on every run, so the listed test names
+// would never be stable.
+void
+PrintTo(const AluCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
 class AluParam : public ::testing::TestWithParam<AluCase>
 {
 };
