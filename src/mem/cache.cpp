@@ -287,22 +287,12 @@ Cache::handleFill(Mshr &m)
     // Swap the waiters into a reusable scratch buffer (keeps both
     // vectors' capacities alive), release the MSHR — which may run the
     // free hook and drain the overflow queue — then schedule the
-    // waiters, preserving the original event ordering.  A completion
-    // storm (several demands merged onto one miss) is delivered as one
-    // batched event rather than one event per waiter.
+    // waiters in merge order at the fill tick.
     assert(fillWaiters_.empty());
     fillWaiters_.swap(m.waiters);
     releaseMshr(m);
-    if (p_.batchedDelivery && fillWaiters_.size() > 1) {
-        EventQueue::Batch b = eq_.takeBatch();
-        b.reserve(fillWaiters_.size());
-        for (auto &w : fillWaiters_)
-            b.push_back(std::move(w));
-        eq_.scheduleBatch(0, std::move(b));
-    } else {
-        for (auto &w : fillWaiters_)
-            eq_.scheduleIn(0, std::move(w));
-    }
+    for (auto &w : fillWaiters_)
+        eq_.scheduleIn(0, std::move(w));
     fillWaiters_.clear();
 }
 

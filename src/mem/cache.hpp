@@ -45,15 +45,6 @@ struct CacheParams
     Tick accessLatency = 10;
     /** Number of miss-status-holding registers. */
     unsigned mshrs = 12;
-    /**
-     * Deliver an MSHR fill's merged waiters as one batched event
-     * (EventQueue::scheduleBatch) instead of one event per waiter.
-     * Timing-pure either way — the waiters were enqueued back-to-back,
-     * so consecutive delivery is observably identical — this only
-     * trades host speed; off reproduces the per-event delivery the A/B
-     * parity suite compares against.
-     */
-    bool batchedDelivery = true;
 };
 
 /** One level of cache. */

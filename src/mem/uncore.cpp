@@ -50,7 +50,6 @@ Uncore::Uncore(EventQueue &eq, GuestMemory &mem, const MemParams &params,
     banks_.resize(banks);
     for (unsigned b = 0; b < banks; ++b) {
         CacheParams bp = p_.l2;
-        bp.batchedDelivery = p_.batchedDelivery;
         bp.sizeBytes = p_.l2.sizeBytes / banks;
         bp.mshrs = p_.l2.mshrs / banks > 0 ? p_.l2.mshrs / banks : 1;
         if (banks > 1)
@@ -104,8 +103,7 @@ Uncore::bankOf(Addr paddr) const
 void
 Uncore::portRead(unsigned port, const LineRequest &req, DoneFn done)
 {
-    const unsigned idx = bankOf(req.paddr);
-    Bank &bank = banks_[idx];
+    Bank &bank = banks_[bankOf(req.paddr)];
     if (ports_ == 1) {
         // Single port: no arbitration stage at all, so the single-core
         // machine behaves byte-identically to the unsplit hierarchy.
@@ -113,20 +111,11 @@ Uncore::portRead(unsigned port, const LineRequest &req, DoneFn done)
         return;
     }
     bank.queues[port].push_back(Pending{req, std::move(done)});
-    if (p_.batchedDelivery) {
-        // An idle bank's next grant slot is the current tick; the
-        // shared wake event drains every due bank at once.
-        if (bank.nextGrantAt == kTickMax) {
-            bank.nextGrantAt = eq_.now();
-            armArb(eq_.now());
-        }
-        return;
-    }
-    if (!bank.granting) {
-        bank.granting = true;
-        // An idle arbiter grants in the current tick; contention is
-        // serialised at one grant per l2ArbPeriod below.
-        eq_.scheduleIn(0, [this, idx] { grant(idx); });
+    // An idle bank's next grant slot is the current tick; the shared
+    // wake event drains every due bank at once.
+    if (bank.nextGrantAt == kTickMax) {
+        bank.nextGrantAt = eq_.now();
+        armArb(eq_.now());
     }
 }
 
@@ -172,27 +161,6 @@ Uncore::grantOne(Bank &bank)
 }
 
 void
-Uncore::grant(unsigned bank_idx)
-{
-    Bank &bank = banks_[bank_idx];
-    if (!bankHasWork(bank)) {
-        bank.granting = false;
-        return;
-    }
-
-    // Pace only while work is actually queued: the next grant slot is
-    // one l2ArbPeriod out.  When the queues drain, the arbiter goes
-    // idle and the next arriving request is granted in its own tick —
-    // an uncontended port sees the same latency as the single-port
-    // bypass.
-    if (grantOne(bank)) {
-        eq_.scheduleIn(p_.l2ArbPeriod, [this, bank_idx] { grant(bank_idx); });
-    } else {
-        bank.granting = false;
-    }
-}
-
-void
 Uncore::armArb(Tick when)
 {
     if (arbWakeAt_ <= when)
@@ -210,9 +178,10 @@ Uncore::armArb(Tick when)
 void
 Uncore::arbDrain()
 {
-    // One pass grants every bank whose slot is due this tick — the
-    // same per-bank grant ticks and round-robin picks as the legacy
-    // per-bank events, minus the per-bank event traffic.  arbDrain
+    // One pass grants every bank whose slot is due this tick, in
+    // bank-index order.  A bank that still has queued work takes its
+    // next slot one l2ArbPeriod out; a drained bank goes idle, and its
+    // next arriving request is granted in its own tick.  arbDrain
     // always re-arms from full bank state, so orphaned (superseded)
     // wake events lose nothing.
     const Tick now = eq_.now();

@@ -9,7 +9,10 @@
  * the original single-core hierarchy.  With several ports each L2 bank
  * arbitrates among the ports' queued line reads with a deterministic
  * round-robin grant every `l2ArbPeriod` ticks, so multi-core runs are
- * reproducible at any host thread count.
+ * reproducible at any host thread count.  One shared wake event per
+ * tick grants every bank due at that tick, in bank-index order; an
+ * idle bank grants a new request in its arrival tick, so an
+ * uncontended read sees the same latency as the single-port bypass.
  *
  * Coherence is a minimal shared-read / exclusive-write ownership
  * directory: a write from one core invalidates every other core's copy
@@ -62,19 +65,6 @@ struct MemParams
     unsigned l2Banks = 0;
     /** Ticks between round-robin L2 grants when ports contend. */
     Tick l2ArbPeriod = 5;
-    /**
-     * Coalesce same-tick event delivery through the hierarchy: the L2
-     * bank arbiters share one wake event per tick that grants every
-     * bank due at that tick in one drain (instead of one event per
-     * bank), and both cache levels deliver MSHR fill waiters as one
-     * batched event (seeds CacheParams::batchedDelivery).  Single-port
-     * machines bypass arbitration entirely, so golden (cores = 1) runs
-     * are byte-identical either way; multi-core runs stay deterministic
-     * but may order same-tick grants differently from the legacy
-     * per-bank events.  Off restores per-event delivery for the A/B
-     * parity suite.
-     */
-    bool batchedDelivery = true;
 
     /** Table 1 defaults. */
     static MemParams defaults();
@@ -161,10 +151,7 @@ class Uncore : public CoherenceHub
         /** Per-port request queues the arbiter grants from. */
         std::vector<Ring<Pending>> queues;
         unsigned rrNext = 0;
-        /** Legacy (per-event) arbiter: a grant event is outstanding. */
-        bool granting = false;
-        /** Coalesced arbiter: tick of this bank's next grant slot
-         *  (kTickMax when idle). */
+        /** Tick of this bank's next grant slot (kTickMax when idle). */
         Tick nextGrantAt = kTickMax;
     };
 
@@ -179,17 +166,15 @@ class Uncore : public CoherenceHub
     unsigned bankOf(Addr paddr) const;
     void portRead(unsigned port, const LineRequest &req, DoneFn done);
     void portWrite(unsigned port, const LineRequest &req);
-    /** Legacy per-bank grant event (batchedDelivery off). */
-    void grant(unsigned bank);
     /** True if any port queue of @p bank holds a request. */
     bool bankHasWork(const Bank &bank) const;
     /** Issue one round-robin grant on @p bank (requires queued work);
      *  returns true if requests remain queued afterwards. */
     bool grantOne(Bank &bank);
-    /** Coalesced arbiter: ensure a wake event no later than @p when. */
+    /** Ensure an arbiter wake event no later than @p when. */
     void armArb(Tick when);
-    /** Coalesced arbiter: grant every bank due now, re-arm for the
-     *  earliest future slot. */
+    /** Grant every bank due now, in bank-index order, and re-arm for
+     *  the earliest future slot. */
     void arbDrain();
     void invalidateOthers(unsigned port, Addr line_addr, DirEntry &e);
 
@@ -205,8 +190,8 @@ class Uncore : public CoherenceHub
     std::vector<Cache *> l1s_;
     std::unordered_map<Addr, DirEntry> dir_;
 
-    /** Coalesced arbiter: tick of the live wake event (kTickMax when
-     *  none) and its generation (earlier re-arms orphan stale wakes). */
+    /** Tick of the live arbiter wake event (kTickMax when none) and its
+     *  generation (earlier re-arms orphan stale wakes). */
     Tick arbWakeAt_ = kTickMax;
     std::uint64_t arbGen_ = 0;
 

@@ -166,13 +166,8 @@ ProgrammablePrefetcher::notifyDemand(Addr vaddr, bool is_load, bool hit,
             obs.timedStart = now;
             obs.timedOrigin = static_cast<std::int16_t>(idx);
         }
-        if (cfg_.batchedObservations)
-            obsScratch_.push_back(std::move(obs));
-        else
-            enqueueObservation(std::move(obs));
+        enqueueObservation(std::move(obs));
     });
-    if (cfg_.batchedObservations)
-        flushObservationScratch();
 }
 
 void
@@ -259,10 +254,7 @@ ProgrammablePrefetcher::routeFill(const LineRequest &req)
             ++stats_.obsNoData;
             return;
         }
-        if (cfg_.batchedObservations)
-            obsScratch_.push_back(std::move(obs));
-        else
-            enqueueObservation(std::move(obs));
+        enqueueObservation(std::move(obs));
     };
 
     if (k != kNoKernel) {
@@ -273,8 +265,6 @@ ProgrammablePrefetcher::routeFill(const LineRequest &req)
                 makeObs(e.onPrefetch);
         });
     }
-    if (cfg_.batchedObservations)
-        flushObservationScratch();
 }
 
 void
@@ -334,39 +324,6 @@ ProgrammablePrefetcher::enqueueObservationNow(Observation obs)
     }
     obsQueue_.push_back(std::move(obs));
     trySchedule();
-}
-
-void
-ProgrammablePrefetcher::flushObservationScratch()
-{
-    if (obsScratch_.empty())
-        return;
-    if (faults_ != nullptr) {
-        // Fault injection draws once per delivered observation, so the
-        // batch fast path (which skips the per-observation front door)
-        // would skip injection sites.  Always take the per-push path.
-        for (Observation &obs : obsScratch_)
-            enqueueObservation(std::move(obs));
-        obsScratch_.clear();
-        return;
-    }
-    if (obsQueue_.size() + obsScratch_.size() <= cfg_.obsQueueCapacity) {
-        // The whole batch fits: no drop is possible, so pushing it all
-        // and draining once is observably identical to per-push
-        // delivery (the queue is FIFO and the scheduler pops from the
-        // front, so assignment order cannot change).
-        stats_.observations += obsScratch_.size();
-        for (Observation &obs : obsScratch_)
-            obsQueue_.push_back(std::move(obs));
-        obsScratch_.clear();
-        trySchedule();
-        return;
-    }
-    // The batch could overflow the queue: take the per-push path so
-    // the drop sequence matches per-match delivery exactly.
-    for (Observation &obs : obsScratch_)
-        enqueueObservation(std::move(obs));
-    obsScratch_.clear();
 }
 
 int

@@ -66,24 +66,12 @@ struct PpfConfig
     /** Overestimation factor on the EWMA-derived distance (Sec. 7.1). */
     std::uint64_t lookaheadScale = 2;
     /**
-     * Deliver all of a snoop's (or fill's) filter matches to the
-     * observation queue in one batch with a single scheduler pass,
-     * instead of one enqueue + scheduler pass per match.  Identical to
-     * per-match delivery whenever the whole batch fits the queue (the
-     * queue is FIFO and the scheduler drains from the front, so
-     * interleaving pushes with drains cannot change assignment order);
-     * when the batch could overflow, the per-match path is taken so
-     * drop order matches exactly.  Off reproduces per-match delivery
-     * for the A/B parity suite.
-     */
-    bool batchedObservations = true;
-    /**
      * Event-storm backpressure throttle: when a single window of
      * stormWindowTicks ticks sees more than stormThreshold queued
      * prefetch requests, the remainder of the window is dropped with a
      * stat instead of churning the request queue.  0 disables (the
-     * default — the golden runs are throttle-free); the serving mode
-     * (ROADMAP item 5) turns it on per tenant.
+     * default — the golden runs are throttle-free); the FaultParity
+     * matrix turns it on for fault schedules 9–11.
      */
     Tick stormWindowTicks = 0;
     std::uint64_t stormThreshold = 256;
@@ -269,9 +257,6 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
     /** Capacity-checked enqueue proper (delayed deliveries re-enter
      *  here so an injected delay can never re-draw itself). */
     void enqueueObservationNow(Observation obs);
-    /** Deliver everything in obsScratch_ (one scheduler pass when the
-     *  batch provably cannot drop; per-push fallback otherwise). */
-    void flushObservationScratch();
     void trySchedule();
     int pickFreePpu();
     /** Begin executing @p obs on @p ppu at the next PPU clock edge. */
@@ -328,8 +313,6 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
 
     /** Lookahead snapshot handed to kernels (capacity reused). */
     std::vector<std::uint64_t> lookaheadScratch_;
-    /** Matched observations of one snoop/fill (capacity reused). */
-    std::vector<Observation> obsScratch_;
     /** Emit buffers in flight between execute and finish (pooled). */
     ObjectPool<std::vector<PrefetchEmit>> emitBuffers_;
 

@@ -65,44 +65,6 @@ EventQueue::schedule(Tick when, Callback fn)
     heapPush(Key{when, seq_++, takeSlot(std::move(fn))});
 }
 
-EventQueue::Batch
-EventQueue::takeBatch()
-{
-    if (batchPool_.empty())
-        return Batch{};
-    Batch b = std::move(batchPool_.back());
-    batchPool_.pop_back();
-    return b;
-}
-
-void
-EventQueue::scheduleBatch(Tick delay, Batch b)
-{
-    if (b.empty()) {
-        batchPool_.push_back(std::move(b));
-        return;
-    }
-    if (b.size() == 1) {
-        Callback fn = std::move(b.front());
-        b.clear();
-        batchPool_.push_back(std::move(b));
-        scheduleIn(delay, std::move(fn));
-        return;
-    }
-    // One slot carries the whole vector; members run consecutively and
-    // each counts as an executed event (the carrier's own increment in
-    // the drain covers the first member).
-    scheduleIn(delay, [this, b = std::move(b)]() mutable {
-        executed_ += b.size() - 1;
-        for (Callback &fn : b) {
-            Callback f = std::move(fn);
-            f();
-        }
-        b.clear();
-        batchPool_.push_back(std::move(b));
-    });
-}
-
 void
 EventQueue::heapPush(Key k)
 {
@@ -238,9 +200,8 @@ EventQueue::runOne()
 void
 EventQueue::run(std::uint64_t limit)
 {
-    // Batch drain: one time-advance per tick, then the whole FIFO ring
-    // in a tight loop (callbacks appending same-tick events extend the
-    // same pass).
+    // One time-advance per tick, then the whole FIFO ring in a tight
+    // loop (callbacks appending same-tick events extend the same pass).
     while (limit > 0) {
         if (current_.empty() && !advance())
             return;

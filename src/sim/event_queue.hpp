@@ -7,8 +7,7 @@
  * queue.  Events scheduled for the same tick execute in insertion order,
  * which keeps runs bit-for-bit reproducible.
  *
- * Engine internals (hot path, see bench/micro_components.cpp and
- * tools/bench_events.cpp):
+ * Engine internals (hot path, see bench/micro_components.cpp):
  *
  *  - Callbacks are @ref SmallFunction, not std::function: closures up to
  *    48 bytes live inline in the slot pool, larger ones come from a
@@ -25,23 +24,14 @@
  *  - When time advances to a tick, every key at that tick is drained into
  *    a FIFO ring first; follow-on events scheduled *at the current tick*
  *    (the hierarchy's ubiquitous scheduleIn(0)) append to that ring in
- *    O(1).  run() drains the ring in one tight pass per tick — the
- *    batch-drain path — instead of re-entering runOne() per event.
- *  - Producers of N same-tick events (MSHR completion storms, PPF emit
- *    flushes) can enqueue ONE pooled vector of callbacks via
- *    scheduleBatch() instead of N closures.  The members run
- *    consecutively, which is observably identical to N consecutive
- *    schedule() calls (nothing can interleave between events enqueued
- *    back-to-back), but costs one slot and one key.
+ *    O(1).  run() drains the ring in one tight pass per tick instead of
+ *    re-entering runOne() per event.
  *
  * Ordering guarantees (the drain contract):
  *
  *  1. Events at different ticks run in tick order.
  *  2. Events at the same tick run in schedule-call order, regardless of
  *     which structure (ring, wheel, heap) carried them.
- *  3. The members of a batch run consecutively, in vector order, at the
- *     batch's position in that tick's FIFO; events they schedule at the
- *     current tick run after the entire batch.
  */
 
 #ifndef EPF_SIM_EVENT_QUEUE_HPP
@@ -68,8 +58,6 @@ class EventQueue
 {
   public:
     using Callback = SmallFunction<void()>;
-    /** A pooled vector of callbacks delivered as one event. */
-    using Batch = std::vector<Callback>;
 
     EventQueue();
     EventQueue(const EventQueue &) = delete;
@@ -83,23 +71,6 @@ class EventQueue
 
     /** Schedule @p fn to run @p delay ticks from now. */
     void scheduleIn(Tick delay, Callback fn) { schedule(now_ + delay, std::move(fn)); }
-
-    /**
-     * Acquire an empty batch vector (pooled: capacity survives reuse).
-     * Fill it and hand it to scheduleBatch(); an unused batch may also
-     * be returned via scheduleBatch() with no members.
-     */
-    Batch takeBatch();
-
-    /**
-     * Schedule every callback in @p b to run @p delay ticks from now,
-     * consecutively and in order, as a single queue entry.  Equivalent
-     * to calling scheduleIn(delay, ...) once per member back-to-back,
-     * but N callbacks cost one slot and one key.  The vector returns to
-     * the pool after delivery.  An empty batch is returned to the pool
-     * immediately; a single-member batch degenerates to scheduleIn().
-     */
-    void scheduleBatch(Tick delay, Batch b);
 
     /** True if no events remain. */
     bool empty() const
@@ -130,16 +101,8 @@ class EventQueue
     /** Run events with time <= @p until (inclusive). */
     void runUntil(Tick until);
 
-    /** Total events executed so far (for stats and runaway detection).
-     *  Each member of a batch counts as one executed event. */
+    /** Total events executed so far (for stats and runaway detection). */
     std::uint64_t executed() const { return executed_; }
-
-    /** Number of events currently pending (a batch counts once). */
-    std::size_t
-    pending() const
-    {
-        return current_.size() + heap_.size() + wheelCount_;
-    }
 
   private:
     /** Heap/wheel key: ordering data plus the owning callback slot. */
@@ -197,8 +160,6 @@ class EventQueue
     std::vector<std::uint32_t> freeSlots_;
     /** Slots waiting to run at the current tick, in FIFO order. */
     Ring<std::uint32_t> current_;
-    /** Recycled batch vectors (capacity survives round trips). */
-    std::vector<Batch> batchPool_;
 
     Tick now_ = 0;
     std::uint64_t seq_ = 0;

@@ -27,8 +27,8 @@ class StatRegistry
     /**
      * Integer handle to an interned statistic.  Handles pin the name
      * lookup once; set/add/get by handle are a vector index plus a
-     * pointer write, so loops that touch counters per event (batched
-     * drain paths, benches) never pay the std::map string compare.
+     * pointer write, so code that touches a counter per event never
+     * pays the std::map string compare.
      * Handles stay valid for the registry's lifetime.
      */
     using StatId = std::uint32_t;

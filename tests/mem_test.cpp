@@ -220,6 +220,39 @@ TEST(CacheTest, MergesConcurrentMisses)
     EXPECT_EQ(c.stats().demandMerges, 1u);
 }
 
+/** Demands merged onto one miss run in merge order on the fill tick,
+ *  and a same-tick event scheduled by the first waiter runs after the
+ *  last one. */
+TEST(CacheTest, MergedWaitersRunInMergeOrderOnTheFillTick)
+{
+    EventQueue eq;
+    FakeParent parent(eq, 100);
+    Cache c(eq, smallCache(), parent);
+
+    std::vector<int> order;
+    std::vector<Tick> ticks;
+    auto record = [&](int id) {
+        order.push_back(id);
+        ticks.push_back(eq.now());
+    };
+    EXPECT_EQ(c.demandAccess(true, 0x3000, 0x3000,
+                             [&] {
+                                 record(0);
+                                 eq.scheduleIn(0, [&] { record(3); });
+                             }),
+              Cache::DemandResult::Miss);
+    EXPECT_EQ(c.demandAccess(true, 0x3008, 0x3008, [&] { record(1); }),
+              Cache::DemandResult::Merged);
+    EXPECT_EQ(c.demandAccess(true, 0x3010, 0x3010, [&] { record(2); }),
+              Cache::DemandResult::Merged);
+    eq.run();
+
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    EXPECT_EQ(ticks, (std::vector<Tick>{110, 110, 110, 110}));
+    EXPECT_EQ(parent.reads, 1u);
+    EXPECT_EQ(c.stats().demandMerges, 2u);
+}
+
 TEST(CacheTest, RejectsWhenMshrsExhausted)
 {
     EventQueue eq;

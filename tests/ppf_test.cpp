@@ -406,11 +406,16 @@ TEST_F(PpfTest, ObservationQueueDropsOldest)
     fe.onLoad = k;
     ppf->addFilter(fe);
 
+    // The first observation starts on the PPU at once; the other nine
+    // pass through the 4-entry queue, which drops its oldest entry for
+    // each of the last five.
     for (int i = 0; i < 10; ++i)
         ppf->notifyDemand(base() + static_cast<Addr>(i) * 64, true, false,
                           0);
-    EXPECT_GT(ppf->stats().obsDropped, 0u);
+    EXPECT_EQ(ppf->stats().observations, 10u);
+    EXPECT_EQ(ppf->stats().obsDropped, 5u);
     eq_.run();
+    EXPECT_EQ(ppf->stats().eventsRun, 5u);
 }
 
 TEST_F(PpfTest, LowestIdPolicySkewsWork)

@@ -163,74 +163,6 @@ TEST(EventQueueTest, SameTickFifoAcrossWheelAndHeap)
     EXPECT_EQ(eq.now(), target);
 }
 
-/**
- * The batch contract: members run consecutively at the batch's FIFO
- * position, interleaved schedule() calls keep their positions, and
- * same-tick events scheduled from inside a member run after the whole
- * batch.
- */
-TEST(EventQueueTest, BatchRunsConsecutivelyAtItsFifoPosition)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    eq.schedule(5, [&] { order.push_back(0); });
-    EventQueue::Batch b = eq.takeBatch();
-    b.push_back([&] {
-        order.push_back(1);
-        eq.scheduleIn(0, [&] { order.push_back(4); }); // after the batch
-    });
-    b.push_back([&] { order.push_back(2); });
-    eq.scheduleBatch(5, std::move(b));
-    eq.schedule(5, [&] { order.push_back(3); });
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-/** Re-entrant batches: a member may take and schedule another batch at
- *  the current tick while its own batch is mid-drain. */
-TEST(EventQueueTest, ReentrantBatchFromInsideBatchDrain)
-{
-    EventQueue eq;
-    std::vector<int> order;
-    EventQueue::Batch outer = eq.takeBatch();
-    outer.push_back([&] {
-        order.push_back(0);
-        EventQueue::Batch inner = eq.takeBatch();
-        inner.push_back([&] { order.push_back(2); });
-        inner.push_back([&] { order.push_back(3); });
-        eq.scheduleBatch(0, std::move(inner));
-    });
-    outer.push_back([&] { order.push_back(1); });
-    eq.scheduleBatch(3, std::move(outer));
-    eq.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-    EXPECT_EQ(eq.now(), 3u);
-}
-
-/** Each batch member counts as one executed event, and the degenerate
- *  empty / single-member batches behave like plain schedules. */
-TEST(EventQueueTest, BatchExecutedCountAndDegenerateSizes)
-{
-    EventQueue eq;
-    int fired = 0;
-
-    eq.scheduleBatch(1, eq.takeBatch()); // empty: no event at all
-    eq.run();
-    EXPECT_EQ(eq.executed(), 0u);
-    EXPECT_TRUE(eq.empty());
-
-    EventQueue::Batch one = eq.takeBatch();
-    one.push_back([&] { ++fired; });
-    eq.scheduleBatch(1, std::move(one));
-    EventQueue::Batch four = eq.takeBatch();
-    for (int i = 0; i < 4; ++i)
-        four.push_back([&] { ++fired; });
-    eq.scheduleBatch(2, std::move(four));
-    eq.run();
-    EXPECT_EQ(fired, 5);
-    EXPECT_EQ(eq.executed(), 5u);
-}
-
 /** Callbacks past the inline budget go through the slab pool and must
  *  survive heap sifts, moves and execution intact. */
 TEST(EventQueueTest, LargeCaptureCallbacks)
