@@ -18,6 +18,8 @@ Core::Core(EventQueue &eq, const CoreParams &params, CorePort &mem,
     // silent invalidation).
     rob_.reserve(p_.robEntries + 1);
     rob_.forbidGrowth();
+    execQ_.reserve(p_.robEntries + 1);
+    issueQ_.reserve(p_.robEntries + 1);
 }
 
 void
@@ -36,8 +38,8 @@ Core::run(Generator<MicroOp> trace, std::function<void()> on_done)
     lqUsed_ = 0;
     sqUsed_ = 0;
     workRemaining_ = 0;
-    pendingExec_ = 0;
-    pendingIssue_ = 0;
+    execQ_.clear();
+    issueQ_.clear();
     running_ = true;
     sleeping_ = false;
     branchPending_ = false;
@@ -51,7 +53,6 @@ Core::newRobEntry(MicroOp op)
     // Pooled: reset every field the previous occupant may have left.
     RobEntry *e = robPool_.acquire();
     e->op = std::move(op);
-    e->issued = false;
     e->complete = false;
     e->seq = seq_++;
     rob_.push_back(e);
@@ -155,116 +156,86 @@ Core::commit()
 bool
 Core::completeWork()
 {
-    if (pendingExec_ == 0)
-        return false;
-    unsigned remaining = pendingExec_;
-    bool any = false;
-    for (RobEntry *ep : rob_) {
-        if (remaining == 0)
-            break; // every candidate has been visited
-        RobEntry &e = *ep;
-        if (e.complete)
+    // Entries that stay incomplete are compacted to the front, in order.
+    std::size_t kept = 0;
+    for (RobEntry *e : execQ_) {
+        if (!depsReady(e->op)) {
+            execQ_[kept++] = e;
             continue;
-        switch (e.op.kind) {
-          case MicroOp::Kind::Work:
-          case MicroOp::Kind::PfConfig:
-            --remaining;
-            if (depsReady(e.op)) {
-                e.complete = true;
-                --pendingExec_;
-                // Results forward to consumers at execute, not commit.
-                markValueReady(e.op.produces);
-                any = true;
-            }
-            break;
-          case MicroOp::Kind::BranchMiss:
-            --remaining;
-            if (depsReady(e.op)) {
-                e.complete = true;
-                --pendingExec_;
-                // The branch resolved: begin the front-end refill.
-                assert(branchPending_);
-                branchPending_ = false;
-                refillLeft_ = p_.mispredictPenalty;
-                any = true;
-            }
-            break;
-          default:
-            break;
+        }
+        e->complete = true;
+        if (e->op.kind == MicroOp::Kind::BranchMiss) {
+            // The branch resolved: begin the front-end refill.
+            assert(branchPending_);
+            branchPending_ = false;
+            refillLeft_ = p_.mispredictPenalty;
+        } else {
+            // Results forward to consumers at execute, not commit, so a
+            // later entry of this same scan may already see them.
+            markValueReady(e->op.produces);
         }
     }
+    const bool any = kept != execQ_.size();
+    execQ_.resize(kept);
     return any;
 }
 
 bool
 Core::issueMemOps()
 {
-    if (pendingIssue_ == 0)
-        return false;
+    // Entries that stay unissued are compacted to the front, in order.
+    // Running out of load ports skips later loads but not later stores
+    // or software prefetches.
     unsigned load_ports = p_.lsuPorts;
-    unsigned remaining = pendingIssue_;
-    bool any = false;
-    for (RobEntry *ep : rob_) {
-        if (remaining == 0)
-            break; // every candidate has been visited
-        RobEntry &e = *ep;
-        if (e.issued || e.complete)
-            continue;
-        switch (e.op.kind) {
-          case MicroOp::Kind::Load: {
-            --remaining;
-            if (load_ports == 0)
-                continue;
-            if (!depsReady(e.op) || lqUsed_ >= p_.lqEntries)
-                continue;
-            ++lqUsed_;
-            e.issued = true;
-            --pendingIssue_;
-            --load_ports;
-            any = true;
-            RobEntry *entry = ep;
-            mem_.load(e.op.vaddr, nsStream(e.op.streamId), [this, entry] {
-                entry->complete = true;
-                // Loads broadcast their value as soon as data returns.
-                markValueReady(entry->op.produces);
-                assert(lqUsed_ > 0);
-                --lqUsed_;
-                wake();
-            });
-            break;
-          }
-          case MicroOp::Kind::Store: {
-            --remaining;
-            if (!depsReady(e.op) || sqUsed_ >= p_.sqEntries)
-                continue;
-            ++sqUsed_;
-            e.issued = true;
-            e.complete = true; // stores retire without waiting for data
-            --pendingIssue_;
-            any = true;
-            mem_.store(e.op.vaddr, nsStream(e.op.streamId), [this] {
-                assert(sqUsed_ > 0);
-                --sqUsed_;
-                wake();
-            });
-            break;
-          }
-          case MicroOp::Kind::SwPrefetch: {
-            --remaining;
-            if (!depsReady(e.op))
-                continue;
-            e.issued = true;
-            e.complete = true;
-            --pendingIssue_;
-            any = true;
-            mem_.swPrefetch(e.op.vaddr);
-            break;
-          }
-          default:
-            break;
-        }
+    std::size_t kept = 0;
+    for (RobEntry *e : issueQ_) {
+        if (!tryIssue(e, load_ports))
+            issueQ_[kept++] = e;
     }
+    const bool any = kept != issueQ_.size();
+    issueQ_.resize(kept);
     return any;
+}
+
+bool
+Core::tryIssue(RobEntry *e, unsigned &load_ports)
+{
+    switch (e->op.kind) {
+      case MicroOp::Kind::Load:
+        if (load_ports == 0 || !depsReady(e->op) || lqUsed_ >= p_.lqEntries)
+            return false;
+        ++lqUsed_;
+        --load_ports;
+        mem_.load(e->op.vaddr, nsStream(e->op.streamId), [this, e] {
+            e->complete = true;
+            // Loads broadcast their value as soon as data returns.
+            markValueReady(e->op.produces);
+            assert(lqUsed_ > 0);
+            --lqUsed_;
+            wake();
+        });
+        return true;
+      case MicroOp::Kind::Store:
+        if (!depsReady(e->op) || sqUsed_ >= p_.sqEntries)
+            return false;
+        ++sqUsed_;
+        e->complete = true; // stores retire without waiting for data
+        mem_.store(e->op.vaddr, nsStream(e->op.streamId), [this] {
+            assert(sqUsed_ > 0);
+            --sqUsed_;
+            wake();
+        });
+        return true;
+      case MicroOp::Kind::SwPrefetch:
+        if (!depsReady(e->op))
+            return false;
+        e->complete = true;
+        mem_.swPrefetch(e->op.vaddr);
+        return true;
+      default:
+        assert(false && "only memory ops enter the issue queue");
+        return false;
+    }
 }
 
 bool
@@ -322,7 +293,7 @@ Core::dispatch()
             // occupies its share of the window until it commits.
             e.complete = e.op.deps[0] == 0 && e.op.deps[1] == 0;
             if (!e.complete)
-                ++pendingExec_;
+                execQ_.push_back(&e);
             workRemaining_ = op.instrs;
             robInstrs_ += need;
             traceValid_ = false;
@@ -338,7 +309,7 @@ Core::dispatch()
                 ++stats_.loads;
             else
                 ++stats_.stores;
-            ++pendingIssue_;
+            issueQ_.push_back(&e);
             robInstrs_ += 1;
             traceValid_ = false;
             budget -= 1;
@@ -350,7 +321,7 @@ Core::dispatch()
             e.op.instrs = 1;
             stats_.instrs += 1;
             ++stats_.swPrefetches;
-            ++pendingIssue_;
+            issueQ_.push_back(&e);
             robInstrs_ += 1;
             traceValid_ = false;
             budget -= 1;
@@ -362,7 +333,7 @@ Core::dispatch()
             e.op.instrs = 1;
             stats_.instrs += 1;
             ++stats_.branchMisses;
-            ++pendingExec_;
+            execQ_.push_back(&e);
             robInstrs_ += 1;
             // Resolution may already be possible (dep ready): leave the
             // completion to completeWork on this or a later cycle.

@@ -111,7 +111,6 @@ class Core
     struct RobEntry
     {
         MicroOp op;
-        bool issued = false;   ///< memory op sent to the hierarchy
         bool complete = false;
         std::uint64_t seq = 0;
     };
@@ -124,6 +123,12 @@ class Core
     bool completeWork();
     bool issueMemOps();
     bool dispatch();
+
+    /**
+     * Send memory op @p e if it can issue this cycle (a load also needs
+     * one of @p load_ports, which it consumes); false if it must wait.
+     */
+    bool tryIssue(RobEntry *e, unsigned &load_ports);
 
     /**
      * Re-arm the cycle loop after a memory completion.  The core goes to
@@ -172,17 +177,15 @@ class Core
     std::uint32_t workRemaining_ = 0;
 
     /**
-     * Host-side scan bounds (no timing effect).  completeWork() can only
-     * act on incomplete Work/BranchMiss entries and issueMemOps() on
-     * unissued Load/Store/SwPrefetch entries; these count exactly those
-     * candidates, maintained at dispatch and at the point an entry stops
-     * being a candidate.  Each scan visits the same entries in the same
-     * order and makes identical decisions — it merely skips entirely at
-     * zero and stops once every candidate has been visited, instead of
-     * walking the full ROB every cycle.
+     * The ROB entries each scan may act on, in program order.  execQ_
+     * holds the incomplete Work and BranchMiss entries completeWork()
+     * may finish; issueQ_ holds the unissued Load, Store and SwPrefetch
+     * entries issueMemOps() may send.  Dispatch appends to them and each
+     * scan compacts them in place, so a cycle visits the same entries in
+     * the same order as a walk of the whole ROB, and no others.
      */
-    unsigned pendingExec_ = 0;
-    unsigned pendingIssue_ = 0;
+    std::vector<RobEntry *> execQ_;
+    std::vector<RobEntry *> issueQ_;
 
     std::vector<bool> valueReady_;
     std::uint64_t seq_ = 0;

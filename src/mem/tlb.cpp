@@ -23,7 +23,9 @@ Tlb::Tlb(EventQueue &eq, const TlbParams &params, PageTable &pt,
          MemLevel &walk_mem)
     : eq_(eq), p_(params), pt_(pt), walkMem_(walk_mem)
 {
-    l1_.resize(p_.l1Entries);
+    l1Vpn_.resize(p_.l1Entries);
+    l1Ppn_.resize(p_.l1Entries);
+    l1Lru_.resize(p_.l1Entries);
     assert(p_.l2Entries % p_.l2Ways == 0);
     l2Sets_ = p_.l2Entries / p_.l2Ways;
     assert((l2Sets_ & (l2Sets_ - 1)) == 0);
@@ -33,8 +35,7 @@ Tlb::Tlb(EventQueue &eq, const TlbParams &params, PageTable &pt,
 void
 Tlb::flush()
 {
-    for (auto &e : l1_)
-        e.valid = false;
+    l1Valid_ = 0;
     for (auto &e : l2_)
         e.valid = false;
 }
@@ -42,10 +43,12 @@ Tlb::flush()
 bool
 Tlb::lookupL1(Addr vpn, Addr &ppn)
 {
-    for (auto &e : l1_) {
-        if (e.valid && e.vpn == vpn) {
-            e.lru = ++lruClock_;
-            ppn = e.ppn;
+    // The first match in index order wins: a walk with several waiters
+    // inserts its vpn once per waiter.
+    for (std::size_t i = 0; i < l1Valid_; ++i) {
+        if (l1Vpn_[i] == vpn) {
+            l1Lru_[i] = ++lruClock_;
+            ppn = l1Ppn_[i];
             return true;
         }
     }
@@ -69,16 +72,17 @@ Tlb::lookupL2(Addr vpn, Addr &ppn)
 void
 Tlb::insertL1(Addr vpn, Addr ppn)
 {
-    Entry *victim = &l1_[0];
-    for (auto &e : l1_) {
-        if (!e.valid) {
-            victim = &e;
-            break;
-        }
-        if (e.lru < victim->lru)
-            victim = &e;
-    }
-    *victim = Entry{true, vpn, ppn, ++lruClock_};
+    // Fill the first free slot; once full, replace the least recently
+    // used entry (the lowest index among equals).
+    std::size_t slot = l1Valid_;
+    if (slot < l1Lru_.size())
+        ++l1Valid_;
+    else
+        slot = static_cast<std::size_t>(
+            std::min_element(l1Lru_.begin(), l1Lru_.end()) - l1Lru_.begin());
+    l1Vpn_[slot] = vpn;
+    l1Ppn_[slot] = ppn;
+    l1Lru_[slot] = ++lruClock_;
 }
 
 void

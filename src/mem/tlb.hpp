@@ -113,6 +113,7 @@ class Tlb
     void flush();
 
   private:
+    /** An L2 entry. */
     struct Entry
     {
         bool valid = false;
@@ -150,7 +151,17 @@ class Tlb
     PageTable &pt_;
     MemLevel &walkMem_;
 
-    std::vector<Entry> l1_;
+    /**
+     * The fully associative L1 as parallel arrays, so a lookup scans
+     * packed vpns only.  The valid entries are always the prefix
+     * [0, l1Valid_): an insert takes the first free slot while one is
+     * left, and flush() is the only thing that invalidates, all at once.
+     */
+    std::vector<Addr> l1Vpn_;
+    std::vector<Addr> l1Ppn_;
+    std::vector<std::uint64_t> l1Lru_;
+    std::size_t l1Valid_ = 0;
+
     std::vector<Entry> l2_; // set-associative, set-major
     unsigned l2Sets_;
     std::uint64_t lruClock_ = 0;

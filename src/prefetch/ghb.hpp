@@ -27,7 +27,10 @@ namespace epf
 /** Configuration of the Markov GHB prefetcher. */
 struct GhbParams
 {
-    /** Entries in the global history buffer (circular). */
+    /**
+     * Entries in the global history buffer.  It grows by one entry per
+     * recorded miss up to this cap, then wraps around.
+     */
     std::size_t ghbEntries = 2048;
     /** Entries in the index table. */
     std::size_t indexEntries = 2048;
@@ -41,8 +44,10 @@ struct GhbParams
 
     /**
      * The paper's "large" configuration (1 GiB of state for full-size
-     * inputs).  Scaled with our inputs: large enough to hold the entire
-     * miss history of every scaled benchmark.
+     * inputs).  Scaled with our inputs: caps large enough to hold the
+     * entire miss history of every scaled benchmark.  The history grows
+     * with the miss stream, so a cell holds only the state its misses
+     * have written, up to these caps.
      */
     static GhbParams
     large()
@@ -66,7 +71,7 @@ class GhbPrefetcher : public QueuedPrefetcher
     };
 
     explicit GhbPrefetcher(const GhbParams &params = GhbParams::regular())
-        : p_(params), ghb_(params.ghbEntries)
+        : p_(params)
     {
         index_.reserve(std::min<std::size_t>(p_.indexEntries, 1u << 20));
     }
@@ -111,8 +116,11 @@ class GhbPrefetcher : public QueuedPrefetcher
             }
         }
 
-        // Record the miss in the GHB and index table.
+        // Record the miss in the GHB and index table.  Until the history
+        // is full, slot == ghb_.size() and the entry is appended.
         std::uint64_t slot = head_++;
+        if (ghb_.size() < p_.ghbEntries)
+            ghb_.emplace_back();
         GhbEntry &e = ghb_[slot % p_.ghbEntries];
         e.addr = line;
         e.prevOcc = kNoLink;
@@ -140,7 +148,10 @@ class GhbPrefetcher : public QueuedPrefetcher
         std::uint64_t prevOcc = kNoLink;
     };
 
-    /** True if logical slot @p occ has not been overwritten. */
+    /**
+     * True if logical slot @p occ has been written and not overwritten
+     * (so ghb_[occ % ghbEntries] exists: every read is guarded by this).
+     */
     bool
     entryLive(std::uint64_t occ) const
     {

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the out-of-order core model: dependence-limited MLP,
- * ROB capacity, branch-mispredict stalls and trace bookkeeping.
+ * ROB capacity, branch-mispredict stalls, issue and execute order, and
+ * trace bookkeeping.
  */
 
 #include <gtest/gtest.h>
@@ -383,6 +384,107 @@ TEST_F(CoreTest, ValueDependenceThroughWork)
     std::uint64_t cycles = run(tr());
     // Two full dependent miss latencies (~2 x 100ns = 640 cycles).
     EXPECT_GT(cycles, 500u);
+}
+
+/** Logs every demand access as it reaches the L1. */
+class DemandLog : public MemoryListener
+{
+  public:
+    struct Access
+    {
+        Tick when;
+        Addr vaddr;
+        bool isLoad;
+    };
+
+    explicit DemandLog(const EventQueue &eq) : eq_(eq) {}
+
+    void
+    notifyDemand(Addr vaddr, bool is_load, bool, int) override
+    {
+        accesses.push_back({eq_.now(), vaddr, is_load});
+    }
+
+    /** When @p vaddr was first accessed (fails the test if never). */
+    Tick
+    whenAccessed(Addr vaddr) const
+    {
+        for (const Access &a : accesses) {
+            if (a.vaddr == vaddr)
+                return a.when;
+        }
+        ADD_FAILURE() << "no access to " << vaddr;
+        return 0;
+    }
+
+    std::vector<Access> accesses;
+
+  private:
+    const EventQueue &eq_;
+};
+
+TEST_F(CoreTest, ReadyMemOpsIssueInProgramOrderWithinPortLimit)
+{
+    // Five ops wait on one load R.  When R's data returns they are all
+    // ready in the same cycle: the two LSU ports take L0 and L1, the
+    // store S still issues behind them, and L2/L3 go one cycle later.
+    DemandLog log(*eq_);
+    mem_->setListener(&log);
+    const std::size_t p = pageStart();
+    const Addr r = at(p), l0 = at(p + 8), l1 = at(p + 16), s = at(p + 24),
+               l2 = at(p + 32), l3 = at(p + 40);
+    auto tr = [&]() -> Generator<MicroOp> {
+        OpFactory f;
+        ValueId v;
+        co_yield f.load(r, 1, v);
+        co_yield f.loadDiscard(l0, 2, v);
+        co_yield f.loadDiscard(l1, 3, v);
+        co_yield OpFactory::store(s, 4, v);
+        co_yield f.loadDiscard(l2, 5, v);
+        co_yield f.loadDiscard(l3, 6, v);
+    };
+    run(tr());
+
+    std::vector<Addr> order;
+    for (const DemandLog::Access &a : log.accesses)
+        order.push_back(a.vaddr);
+    ASSERT_EQ(order, (std::vector<Addr>{r, l0, l1, s, l2, l3}));
+    EXPECT_FALSE(log.accesses[3].isLoad);
+    const Tick first = log.whenAccessed(l0);
+    EXPECT_GT(first, log.whenAccessed(r));
+    EXPECT_EQ(log.whenAccessed(l1), first);
+    EXPECT_EQ(log.whenAccessed(s), first);
+    EXPECT_EQ(log.whenAccessed(l2), first + CoreParams{}.period);
+    EXPECT_EQ(log.whenAccessed(l3), first + CoreParams{}.period);
+}
+
+TEST_F(CoreTest, WorkChainResolvesWithinOneCycle)
+{
+    // A Work op that completes forwards its value to later Work ops of
+    // the same cycle, so a load behind three chained workVal ops issues
+    // as early after R as a load that depends on R directly.
+    auto issueGap = [this](unsigned chain) {
+        SetUp();
+        const Addr r = at(pageStart()), d = at(pageStart() + 64);
+        DemandLog log(*eq_);
+        mem_->setListener(&log);
+        auto tr = [&]() -> Generator<MicroOp> {
+            OpFactory f;
+            ValueId v;
+            co_yield f.load(r, 1, v);
+            for (unsigned i = 0; i < chain; ++i) {
+                ValueId w;
+                co_yield f.workVal(1, w, v);
+                v = w;
+            }
+            co_yield f.loadDiscard(d, 2, v);
+        };
+        run(tr());
+        return log.whenAccessed(d) - log.whenAccessed(r);
+    };
+    const Tick direct = issueGap(0);
+    EXPECT_GT(direct, 0u);
+    EXPECT_EQ(issueGap(3), direct);
 }
 
 TEST_F(CoreTest, SleepDoesNotChangeCycleAccounting)

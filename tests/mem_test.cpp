@@ -574,6 +574,46 @@ TEST(TlbTest, HitAfterWalkAndFlush)
     EXPECT_EQ(tlb.stats().walks, 2u);
 }
 
+TEST(TlbTest, L1EvictsLeastRecentlyUsedAndRefillsAfterFlush)
+{
+    EventQueue eq;
+    GuestMemory gm;
+    std::vector<std::uint64_t> buf(8 * kPageBytes / 8, 0); // 8 pages
+    Addr base = gm.addRegion("buf", buf.data(), buf.size() * 8);
+    PageTable pt(gm);
+    FakeParent walk_mem(eq, 50);
+    TlbParams tp;
+    tp.l1Entries = 4;
+    Tlb tlb(eq, tp, pt, walk_mem);
+    auto touch = [&](unsigned page) {
+        tlb.translate(base + page * kPageBytes,
+                      [](Addr, bool fault) { EXPECT_FALSE(fault); });
+        eq.run();
+    };
+
+    for (unsigned page = 0; page < 4; ++page)
+        touch(page); // fills the L1
+    touch(0);        // page 1 is now the least recently used
+    EXPECT_EQ(tlb.stats().walks, 4u);
+    EXPECT_EQ(tlb.stats().l1Hits, 1u);
+    touch(4); // walks and evicts page 1
+    EXPECT_EQ(tlb.stats().walks, 5u);
+
+    for (unsigned page : {0u, 2u, 3u, 4u})
+        touch(page);
+    EXPECT_EQ(tlb.stats().l1Hits, 5u);
+    touch(1); // evicted from the L1, still in the L2
+    EXPECT_EQ(tlb.stats().l1Hits, 5u);
+    EXPECT_EQ(tlb.stats().l2Hits, 1u);
+
+    tlb.flush();
+    touch(5);
+    EXPECT_EQ(tlb.stats().walks, 6u);
+    touch(5);
+    EXPECT_EQ(tlb.stats().l1Hits, 6u);
+    EXPECT_EQ(tlb.stats().l2Hits, 1u);
+}
+
 TEST(TlbTest, FaultReportedForUnmapped)
 {
     EventQueue eq;
