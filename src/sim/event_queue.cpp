@@ -1,52 +1,31 @@
 #include "sim/event_queue.hpp"
 
 #include <bit>
-#include <cassert>
-#include <utility>
 
 namespace epf
 {
 
-namespace
+void
+EventQueue::grow()
 {
-/** Warm-start capacities: sized so typical runs never grow mid-sim. */
-constexpr std::size_t kInitialSlots = 1024;
-constexpr std::size_t kInitialRing = 256;
-} // namespace
-
-EventQueue::EventQueue()
-{
-    heap_.reserve(kInitialSlots);
-    slots_.reserve(kInitialSlots);
-    freeSlots_.reserve(kInitialSlots);
-    current_.reserve(kInitialRing);
-    wheel_.resize(kWheelTicks);
-}
-
-std::uint32_t
-EventQueue::takeSlot(Callback &&fn)
-{
-    if (!freeSlots_.empty()) {
-        const std::uint32_t s = freeSlots_.back();
-        freeSlots_.pop_back();
-        slots_[s] = std::move(fn);
-        return s;
-    }
-    slots_.push_back(std::move(fn));
-    return static_cast<std::uint32_t>(slots_.size() - 1);
+    chunks_.push_back(std::make_unique<Node[]>(kChunkNodes));
+    Node *chunk = chunks_.back().get();
+    for (std::size_t i = 0; i + 1 < kChunkNodes; ++i)
+        chunk[i].next = &chunk[i + 1];
+    chunk[kChunkNodes - 1].next = free_;
+    free_ = chunk;
 }
 
 void
-EventQueue::schedule(Tick when, Callback fn)
+EventQueue::insert(Tick when, Node *n)
 {
-    assert(fn);
+    const std::uint64_t seq = seq_++;
     if (when <= now_) {
         // Clamp: events may not run in the past.  Same-tick events join
-        // the FIFO drain ring directly — everything already drained (or
+        // the FIFO drain list directly — everything already drained (or
         // running) carries a smaller seq, so FIFO order is preserved
         // without touching the heap.
-        current_.push_back(takeSlot(std::move(fn)));
-        ++seq_;
+        current_.push(n);
         return;
     }
     if (when - now_ < kWheelTicks) {
@@ -55,14 +34,15 @@ EventQueue::schedule(Tick when, Callback fn)
         // bucket holds no other tick's events.
         const std::size_t b =
             static_cast<std::size_t>(when & (kWheelTicks - 1));
-        std::vector<Key> &bucket = wheel_[b];
-        assert(bucket.empty() || bucket.back().when == when);
-        bucket.push_back(Key{when, seq_++, takeSlot(std::move(fn))});
-        wheelBits_[b >> 6] |= 1ULL << (b & 63);
-        ++wheelCount_;
+        List &bucket = wheel_[b];
+        if (bucket.head == nullptr) {
+            wheelBits_[b >> 6] |= 1ULL << (b & 63);
+            ++wheelCount_;
+        }
+        bucket.push(n);
         return;
     }
-    heapPush(Key{when, seq_++, takeSlot(std::move(fn))});
+    heapPush(Key{when, seq, n});
 }
 
 void
@@ -148,29 +128,20 @@ EventQueue::advance()
         return false;
     const Tick t = ht < wt ? ht : wt;
     assert(t > now_);
+    assert(current_.head == nullptr);
     now_ = t;
 
+    // When both sources hold events at t, every heap key at t was
+    // scheduled at least kWheelTicks early — before any wheel node for
+    // t could have been created — so all heap seqs precede all bucket
+    // seqs: take the heap first, then splice the whole bucket behind.
+    while (!heap_.empty() && heap_[0].when == t)
+        current_.push(heapPopTop().node);
     if (wt == t) {
         const std::size_t b = static_cast<std::size_t>(t & (kWheelTicks - 1));
-        std::vector<Key> &bucket = wheel_[b];
         wheelBits_[b >> 6] &= ~(1ULL << (b & 63));
-        wheelCount_ -= bucket.size();
-        if (ht == t) {
-            // Both sources hold events at t.  Every heap key at t was
-            // scheduled at least kWheelTicks early — before any wheel
-            // key for t could have been created — so all heap seqs
-            // precede all bucket seqs: drain heap first.
-            do {
-                current_.push_back(heapPopTop().slot);
-            } while (!heap_.empty() && heap_[0].when == t);
-        }
-        for (const Key &k : bucket)
-            current_.push_back(k.slot);
-        bucket.clear();
-    } else {
-        do {
-            current_.push_back(heapPopTop().slot);
-        } while (!heap_.empty() && heap_[0].when == t);
+        --wheelCount_;
+        current_.splice(wheel_[b]);
     }
     return true;
 }
@@ -178,20 +149,23 @@ EventQueue::advance()
 void
 EventQueue::execFront()
 {
-    const std::uint32_t s = current_.front();
-    current_.pop_front();
-    // Move the callback out before invoking: the callback may schedule,
-    // which can grow or reuse the slot pool.
-    Callback fn = std::move(slots_[s]);
-    freeSlots_.push_back(s);
+    // The node stays where it is while its callback runs: chunks never
+    // move, and events the callback schedules take other nodes.  A
+    // callback that throws leaves its node off every list; its closure
+    // is destroyed with its chunk.
+    Node *n = current_.head;
+    current_.head = n->next;
     ++executed_;
-    fn();
+    n->fn();
+    n->fn.reset();
+    n->next = free_;
+    free_ = n;
 }
 
 bool
 EventQueue::runOne()
 {
-    if (current_.empty() && !advance())
+    if (current_.head == nullptr && !advance())
         return false;
     execFront();
     return true;
@@ -200,14 +174,14 @@ EventQueue::runOne()
 void
 EventQueue::run(std::uint64_t limit)
 {
-    // One time-advance per tick, then the whole FIFO ring in a tight
+    // One time-advance per tick, then the whole FIFO list in a tight
     // loop (callbacks appending same-tick events extend the same pass).
     while (limit > 0) {
-        if (current_.empty() && !advance())
+        if (current_.head == nullptr && !advance())
             return;
         do {
             execFront();
-        } while (--limit > 0 && !current_.empty());
+        } while (--limit > 0 && current_.head != nullptr);
     }
 }
 
@@ -215,11 +189,11 @@ void
 EventQueue::runUntil(Tick until)
 {
     while (nextEventTick() <= until) {
-        if (current_.empty())
+        if (current_.head == nullptr)
             (void)advance();
         do {
             execFront();
-        } while (!current_.empty());
+        } while (current_.head != nullptr);
     }
     if (now_ < until)
         now_ = until;

@@ -14,8 +14,8 @@
  * Differences from `std::function`, chosen for the hot path:
  *  - move-only (no copy, so no shared-state surprises and no virtual
  *    copy dispatch);
- *  - callables must be nothrow-move-constructible (they are relocated
- *    when the event heap grows);
+ *  - callables must be nothrow-move-constructible (MSHR waiter lists,
+ *    DRAM bank queues and cache fill waiters relocate them);
  *  - invoking an empty SmallFunction is a programming error (asserted),
  *    not an exception.
  */
@@ -92,6 +92,27 @@ class SmallFunction<R(Args...), InlineBytes>
 
     ~SmallFunction() { reset(); }
 
+    /** Replace the callable with @p f, constructed in place. */
+    template <typename F,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::decay_t<F>, SmallFunction> &&
+                  std::is_invocable_r_v<R, std::decay_t<F> &, Args...>>>
+    void
+    emplace(F &&f)
+    {
+        reset();
+        init(std::forward<F>(f));
+    }
+
+    /** Replace the callable with @p other's, moved in once.  There is
+     *  deliberately no lvalue overload: taking a wrapper is a move. */
+    void
+    emplace(SmallFunction &&other) noexcept
+    {
+        reset();
+        moveFrom(other);
+    }
+
     explicit operator bool() const noexcept { return ops_ != nullptr; }
 
     /** Invoke.  Const like std::function: the wrapper is const, the
@@ -122,11 +143,12 @@ class SmallFunction<R(Args...), InlineBytes>
     {
         R (*invoke)(void *, Args...);
         /** Move-construct dst from src and destroy src.  Null means the
-         *  callable is trivially relocatable (memcpy of @ref bytes). */
+         *  callable is trivially relocatable (a copy of the whole inline
+         *  buffer). */
         void (*relocate)(void *dst, void *src) noexcept;
         /** Destroy the callable in place.  Null means trivial. */
         void (*destroy)(void *) noexcept;
-        /** sizeof the callable (memcpy size for trivial relocation). */
+        /** sizeof the callable (the slab block size to return). */
         std::size_t bytes;
         /** True when the callable lives in a slab block. */
         bool heap;
@@ -182,13 +204,13 @@ class SmallFunction<R(Args...), InlineBytes>
     {
         using Fn = std::decay_t<F>;
         static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                      "callables must be nothrow-move-constructible: they "
-                      "are relocated when the event heap grows");
+                      "callables must be nothrow-move-constructible: "
+                      "waiter lists and queues relocate them");
         if constexpr (kFitsInline<Fn>) {
             if constexpr (std::is_empty_v<Fn>) {
                 // A captureless callable constructs no state, leaving
                 // its one storage byte formally uninitialized; give it
-                // a defined value so the trivial-relocation memcpy is
+                // a defined value so the trivial-relocation copy is
                 // clean under -Wuninitialized.
                 st_.buf[0] = 0;
             }
@@ -213,7 +235,9 @@ class SmallFunction<R(Args...), InlineBytes>
         else if (ops_->relocate != nullptr)
             ops_->relocate(st_.buf, other.st_.buf);
         else
-            std::memcpy(st_.buf, other.st_.buf, ops_->bytes);
+            // The whole buffer: a compile-time size the compiler copies
+            // inline, where ops_->bytes would be a call to libc memcpy.
+            std::memcpy(st_.buf, other.st_.buf, InlineBytes);
         other.ops_ = nullptr;
     }
 

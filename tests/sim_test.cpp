@@ -9,6 +9,8 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "sim/clock.hpp"
@@ -197,6 +199,84 @@ TEST(EventQueueTest, MoveOnlyCaptures)
     EXPECT_EQ(seen, 42);
 }
 
+/**
+ * A callback runs where its closure was built while it schedules enough
+ * events to add several node chunks: its inline capture must stay
+ * intact, and the events it scheduled keep their ticks and order.
+ */
+TEST(EventQueueTest, CallbackStateSurvivesQueueGrowthMidCallback)
+{
+    constexpr int kEvents = 5000;
+    struct State
+    {
+        EventQueue eq;
+        std::vector<std::pair<int, Tick>> ran;
+        std::array<std::uint64_t, 4> copied{};
+    } s;
+    const std::array<std::uint64_t, 4> payload = {11, 22, 33, 44};
+    auto fanOut = [st = &s, payload] {
+        for (int i = 0; i < kEvents; ++i) {
+            st->eq.scheduleIn(static_cast<Tick>(i % 2), [st, i] {
+                st->ran.emplace_back(i, st->eq.now());
+            });
+        }
+        st->copied = payload;
+    };
+    static_assert(sizeof(fanOut) == 40, "a 40-byte inline capture");
+    s.eq.schedule(1, std::move(fanOut));
+    s.eq.run();
+
+    EXPECT_EQ(s.copied, payload);
+    // Evens at tick 1 in order, then odds at tick 2.
+    std::vector<std::pair<int, Tick>> expected;
+    for (int i = 0; i < kEvents; i += 2)
+        expected.emplace_back(i, 1);
+    for (int i = 1; i < kEvents; i += 2)
+        expected.emplace_back(i, 2);
+    EXPECT_EQ(s.ran, expected);
+}
+
+/** An event's closure is destroyed before the next event runs. */
+TEST(EventQueueTest, CallbackIsDestroyedBeforeTheNextEventRuns)
+{
+    struct SetOnDestroy
+    {
+        bool *flag;
+        explicit SetOnDestroy(bool *f) : flag(f) {}
+        SetOnDestroy(SetOnDestroy &&o) noexcept
+            : flag(std::exchange(o.flag, nullptr))
+        {
+        }
+        ~SetOnDestroy()
+        {
+            if (flag != nullptr)
+                *flag = true;
+        }
+    };
+    EventQueue eq;
+    bool destroyed = false;
+    bool seen = false;
+    eq.schedule(3, [guard = SetOnDestroy(&destroyed)] {});
+    eq.schedule(3, [&] { seen = destroyed; });
+    eq.run();
+    EXPECT_TRUE(seen);
+}
+
+/** Destroying a queue destroys the closures still pending in it, from
+ *  the same-tick list, the wheel and the heap alike. */
+TEST(EventQueueTest, DestroyingTheQueueReleasesPendingCallbacks)
+{
+    auto shared = std::make_shared<int>(1);
+    {
+        EventQueue eq;
+        eq.schedule(0, [shared] {});    // same-tick list
+        eq.schedule(10, [shared] {});   // wheel
+        eq.schedule(5000, [shared] {}); // heap
+        EXPECT_EQ(shared.use_count(), 4);
+    }
+    EXPECT_EQ(shared.use_count(), 1);
+}
+
 TEST(SmallFunctionTest, EmptinessAndMoveSemantics)
 {
     SmallFunction<int()> f;
@@ -208,6 +288,55 @@ TEST(SmallFunctionTest, EmptinessAndMoveSemantics)
     EXPECT_TRUE(g);
     EXPECT_FALSE(f); // NOLINT(bugprone-use-after-move): pinned semantics
     EXPECT_EQ(g(), 7);
+}
+
+/**
+ * Inline trivially copyable, inline move-only and slab callables keep
+ * their state through moves.  Each move lands in a wrapper whose whole
+ * buffer was just filled by a different 48-byte callable, so a move
+ * that copies too few bytes leaves that callable's bytes behind.
+ */
+TEST(SmallFunctionTest, MovesPreserveInlineAndSlabCallables)
+{
+    using Fn = SmallFunction<int()>;
+    auto bounce = [](Fn &f) {
+        std::array<std::uint64_t, 6> junk;
+        junk.fill(~0ULL);
+        auto filler = [junk] { return static_cast<int>(junk[0]); };
+        static_assert(sizeof(filler) == kSmallFunctionInline);
+        std::optional<Fn> here(filler);
+        *here = std::move(f);
+        std::optional<Fn> there;
+        for (int i = 0; i < 3; ++i) {
+            there.emplace(filler);
+            *there = std::move(*here);
+            here.emplace(filler);
+            *here = std::move(*there);
+        }
+        return (*here)();
+    };
+
+    const std::array<std::uint32_t, 5> small = {1, 2, 3, 4, 5};
+    Fn trivial = [small] {
+        int sum = 0;
+        for (auto v : small)
+            sum += static_cast<int>(v);
+        return sum;
+    };
+    Fn moveOnly = [p = std::make_unique<int>(42)] { return *p; };
+    std::array<std::uint64_t, 16> big{}; // 128 B: slab-stored
+    for (std::size_t i = 0; i < big.size(); ++i)
+        big[i] = i;
+    Fn slab = [big] {
+        std::uint64_t sum = 0;
+        for (auto v : big)
+            sum += v;
+        return static_cast<int>(sum);
+    };
+
+    EXPECT_EQ(bounce(trivial), 15);
+    EXPECT_EQ(bounce(moveOnly), 42);
+    EXPECT_EQ(bounce(slab), 120);
 }
 
 TEST(RingTest, FifoPushPopWrapAround)
