@@ -1,5 +1,7 @@
 #include "cpu/core.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace epf
@@ -20,6 +22,12 @@ Core::Core(EventQueue &eq, const CoreParams &params, CorePort &mem,
     rob_.forbidGrowth();
     execQ_.reserve(p_.robEntries + 1);
     issueQ_.reserve(p_.robEntries + 1);
+    execNext_.reserve(p_.robEntries + 1);
+    // Two dependences per entry; ids in flight are mostly consecutive,
+    // so this many lists keeps each one about a Wait long.
+    const std::size_t max_waits = 2 * (std::size_t{p_.robEntries} + 1);
+    waits_.reserve(max_waits);
+    waitHeads_.assign(std::bit_ceil(max_waits), kNoWait);
 }
 
 void
@@ -40,6 +48,12 @@ Core::run(Generator<MicroOp> trace, std::function<void()> on_done)
     workRemaining_ = 0;
     execQ_.clear();
     issueQ_.clear();
+    execNext_.clear();
+    // Each trace numbers its values from 1, so nothing carries over.
+    valueReady_.clear();
+    waits_.clear();
+    std::fill(waitHeads_.begin(), waitHeads_.end(), kNoWait);
+    freeWait_ = kNoWait;
     running_ = true;
     sleeping_ = false;
     branchPending_ = false;
@@ -54,21 +68,10 @@ Core::newRobEntry(MicroOp op)
     RobEntry *e = robPool_.acquire();
     e->op = std::move(op);
     e->complete = false;
+    e->unready = 0;
     e->seq = seq_++;
     rob_.push_back(e);
     return e;
-}
-
-bool
-Core::depsReady(const MicroOp &op) const
-{
-    for (ValueId d : op.deps) {
-        if (d == 0)
-            continue;
-        if (d >= valueReady_.size() || !valueReady_[d])
-            return false;
-    }
-    return true;
 }
 
 void
@@ -78,7 +81,60 @@ Core::markValueReady(ValueId id)
         return;
     if (id >= valueReady_.size())
         valueReady_.resize(static_cast<std::size_t>(id) * 2 + 64, false);
+    if (valueReady_[id])
+        return; // already broadcast: nothing can be waiting on it
     valueReady_[id] = true;
+    std::uint32_t *link = &waitHeads_[id & (waitHeads_.size() - 1)];
+    while (*link != kNoWait) {
+        const std::uint32_t w = *link;
+        if (waits_[w].value != id) {
+            link = &waits_[w].next;
+            continue;
+        }
+        RobEntry *e = waits_[w].entry;
+        *link = waits_[w].next;
+        waits_[w].next = freeWait_;
+        freeWait_ = w;
+        if (--e->unready == 0)
+            makeReady(e);
+    }
+}
+
+unsigned
+Core::waitForDeps(RobEntry *e)
+{
+    unsigned n = 0;
+    for (ValueId d : e->op.deps) {
+        if (d == 0 || (d < valueReady_.size() && valueReady_[d]))
+            continue;
+        std::uint32_t w = freeWait_;
+        if (w == kNoWait) {
+            w = static_cast<std::uint32_t>(waits_.size());
+            waits_.emplace_back();
+        } else {
+            freeWait_ = waits_[w].next;
+        }
+        std::uint32_t &head = waitHeads_[d & (waitHeads_.size() - 1)];
+        waits_[w] = Wait{d, head, e};
+        head = w;
+        ++n;
+    }
+    e->unready = static_cast<std::uint8_t>(n);
+    return n;
+}
+
+void
+Core::makeReady(RobEntry *e)
+{
+    std::vector<RobEntry *> *q = &issueQ_;
+    if (e->op.kind == MicroOp::Kind::Work ||
+        e->op.kind == MicroOp::Kind::BranchMiss)
+        q = e->seq < execAt_ ? &execNext_ : &execQ_;
+    // Usually the youngest waiting entry; otherwise slot it in.
+    auto pos = q->end();
+    while (pos != q->begin() && (*(pos - 1))->seq > e->seq)
+        --pos;
+    q->insert(pos, e);
 }
 
 void
@@ -156,13 +212,13 @@ Core::commit()
 bool
 Core::completeWork()
 {
-    // Entries that stay incomplete are compacted to the front, in order.
-    std::size_t kept = 0;
-    for (RobEntry *e : execQ_) {
-        if (!depsReady(e->op)) {
-            execQ_[kept++] = e;
-            continue;
-        }
+    if (execQ_.empty())
+        return false;
+    // Every queued entry completes.  Entries it wakes are inserted
+    // behind it (or into execNext_), so index the queue as it grows.
+    for (std::size_t i = 0; i < execQ_.size(); ++i) {
+        RobEntry *e = execQ_[i];
+        execAt_ = e->seq;
         e->complete = true;
         if (e->op.kind == MicroOp::Kind::BranchMiss) {
             // The branch resolved: begin the front-end refill.
@@ -171,13 +227,14 @@ Core::completeWork()
             refillLeft_ = p_.mispredictPenalty;
         } else {
             // Results forward to consumers at execute, not commit, so a
-            // later entry of this same scan may already see them.
+            // later entry of this same pass may already see them.
             markValueReady(e->op.produces);
         }
     }
-    const bool any = kept != execQ_.size();
-    execQ_.resize(kept);
-    return any;
+    execAt_ = 0;
+    execQ_.clear();
+    execQ_.swap(execNext_);
+    return true;
 }
 
 bool
@@ -185,7 +242,8 @@ Core::issueMemOps()
 {
     // Entries that stay unissued are compacted to the front, in order.
     // Running out of load ports skips later loads but not later stores
-    // or software prefetches.
+    // or software prefetches.  Memory completions always arrive as
+    // later events, so no entry is woken during this pass.
     unsigned load_ports = p_.lsuPorts;
     std::size_t kept = 0;
     for (RobEntry *e : issueQ_) {
@@ -202,7 +260,7 @@ Core::tryIssue(RobEntry *e, unsigned &load_ports)
 {
     switch (e->op.kind) {
       case MicroOp::Kind::Load:
-        if (load_ports == 0 || !depsReady(e->op) || lqUsed_ >= p_.lqEntries)
+        if (load_ports == 0 || lqUsed_ >= p_.lqEntries)
             return false;
         ++lqUsed_;
         --load_ports;
@@ -216,7 +274,7 @@ Core::tryIssue(RobEntry *e, unsigned &load_ports)
         });
         return true;
       case MicroOp::Kind::Store:
-        if (!depsReady(e->op) || sqUsed_ >= p_.sqEntries)
+        if (sqUsed_ >= p_.sqEntries)
             return false;
         ++sqUsed_;
         e->complete = true; // stores retire without waiting for data
@@ -227,8 +285,6 @@ Core::tryIssue(RobEntry *e, unsigned &load_ports)
         });
         return true;
       case MicroOp::Kind::SwPrefetch:
-        if (!depsReady(e->op))
-            return false;
         e->complete = true;
         mem_.swPrefetch(e->op.vaddr);
         return true;
@@ -292,7 +348,7 @@ Core::dispatch()
             // Dependence-free work completes at dispatch but still
             // occupies its share of the window until it commits.
             e.complete = e.op.deps[0] == 0 && e.op.deps[1] == 0;
-            if (!e.complete)
+            if (!e.complete && waitForDeps(&e) == 0)
                 execQ_.push_back(&e);
             workRemaining_ = op.instrs;
             robInstrs_ += need;
@@ -309,7 +365,8 @@ Core::dispatch()
                 ++stats_.loads;
             else
                 ++stats_.stores;
-            issueQ_.push_back(&e);
+            if (waitForDeps(&e) == 0)
+                issueQ_.push_back(&e);
             robInstrs_ += 1;
             traceValid_ = false;
             budget -= 1;
@@ -321,7 +378,8 @@ Core::dispatch()
             e.op.instrs = 1;
             stats_.instrs += 1;
             ++stats_.swPrefetches;
-            issueQ_.push_back(&e);
+            if (waitForDeps(&e) == 0)
+                issueQ_.push_back(&e);
             robInstrs_ += 1;
             traceValid_ = false;
             budget -= 1;
@@ -333,7 +391,8 @@ Core::dispatch()
             e.op.instrs = 1;
             stats_.instrs += 1;
             ++stats_.branchMisses;
-            execQ_.push_back(&e);
+            if (waitForDeps(&e) == 0)
+                execQ_.push_back(&e);
             robInstrs_ += 1;
             // Resolution may already be possible (dep ready): leave the
             // completion to completeWork on this or a later cycle.

@@ -96,7 +96,8 @@ class Core
 
     /**
      * Run @p trace to completion.  @p on_done fires on the cycle the last
-     * op commits.  Only one run may be active at a time.
+     * op commits.  Only one run may be active at a time.  Value ids
+     * belong to one trace, so a run starts with none of them ready.
      */
     void run(Generator<MicroOp> trace, std::function<void()> on_done);
 
@@ -112,8 +113,23 @@ class Core
     {
         MicroOp op;
         bool complete = false;
+        /**
+         * Dependences whose values have not arrived: one per unready
+         * element of op.deps (so deps = {v, v} counts v twice).  The
+         * entry joins execQ_ or issueQ_ when this reaches zero.
+         */
+        std::uint8_t unready = 0;
         std::uint64_t seq = 0;
     };
+
+    /** An entry blocked on @ref value (one per unready dependence). */
+    struct Wait
+    {
+        ValueId value = 0;
+        std::uint32_t next = 0; ///< next Wait in its list (kNoWait ends)
+        RobEntry *entry = nullptr;
+    };
+    static constexpr std::uint32_t kNoWait = ~std::uint32_t{0};
 
     /** One simulated core cycle. */
     void tick();
@@ -139,8 +155,21 @@ class Core
      */
     void wake();
 
-    bool depsReady(const MicroOp &op) const;
+    /**
+     * Broadcast value @p id: wake every entry waiting on it.  The first
+     * broadcast of an id is the one that counts; values stay ready for
+     * the rest of the run.
+     */
     void markValueReady(ValueId id);
+
+    /**
+     * Register a Wait for each dependence of @p e whose value has not
+     * arrived, set e->unready, and return it.
+     */
+    unsigned waitForDeps(RobEntry *e);
+
+    /** @p e has no unready dependence left: queue it to execute or issue. */
+    void makeReady(RobEntry *e);
 
     /** Acquire a pooled entry, initialise it from @p op, append to rob_. */
     RobEntry *newRobEntry(MicroOp op);
@@ -177,16 +206,40 @@ class Core
     std::uint32_t workRemaining_ = 0;
 
     /**
-     * The ROB entries each scan may act on, in program order.  execQ_
-     * holds the incomplete Work and BranchMiss entries completeWork()
-     * may finish; issueQ_ holds the unissued Load, Store and SwPrefetch
-     * entries issueMemOps() may send.  Dispatch appends to them and each
-     * scan compacts them in place, so a cycle visits the same entries in
-     * the same order as a walk of the whole ROB, and no others.
+     * The ROB entries whose dependences have all arrived, in program
+     * order.  execQ_ holds the incomplete Work and BranchMiss entries,
+     * all of which completeWork() finishes on its next pass; issueQ_
+     * holds the unissued Load, Store and SwPrefetch entries, which
+     * issueMemOps() sends as ports and queue slots allow.  Dispatch
+     * appends an entry whose values are ready; markValueReady() inserts
+     * the rest at their place in program order once their last value
+     * arrives.  So a pass acts on the same entries in the same order as
+     * a walk of the whole ROB that skips entries still waiting.
+     *
+     * An entry woken during an execute pass joins that pass only if it
+     * is younger than the entry whose value woke it, since a walk in
+     * program order would reach it later in the same pass; an older one
+     * waits in execNext_ and completes on the next cycle, as it would
+     * on the walk's next pass.
      */
     std::vector<RobEntry *> execQ_;
     std::vector<RobEntry *> issueQ_;
+    std::vector<RobEntry *> execNext_;
+    /** seq of the entry completeWork() is finishing; 0 between passes. */
+    std::uint64_t execAt_ = 0;
 
+    /**
+     * Entries blocked on values: a pool of Waits (two per ROB entry at
+     * most, unless a trace holds zero-instruction ops), each threaded
+     * into a short list by the low bits of its value id (waitHeads_) or
+     * onto the free list (freeWait_).  Waits are keyed by value id
+     * rather than by producing entry because a trace file may have an
+     * older op wait on a value a younger op produces, or several ops
+     * produce one id; the first broadcast wakes them.
+     */
+    std::vector<Wait> waits_;
+    std::vector<std::uint32_t> waitHeads_;
+    std::uint32_t freeWait_ = kNoWait;
     std::vector<bool> valueReady_;
     std::uint64_t seq_ = 0;
     bool running_ = false;

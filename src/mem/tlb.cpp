@@ -1,6 +1,7 @@
 #include "mem/tlb.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace epf
@@ -23,9 +24,13 @@ Tlb::Tlb(EventQueue &eq, const TlbParams &params, PageTable &pt,
          MemLevel &walk_mem)
     : eq_(eq), p_(params), pt_(pt), walkMem_(walk_mem)
 {
-    l1Vpn_.resize(p_.l1Entries);
-    l1Ppn_.resize(p_.l1Entries);
-    l1Lru_.resize(p_.l1Entries);
+    assert(p_.l1Entries > 0);
+    l1_.resize(p_.l1Entries);
+    // At most a quarter full, so a probe rarely leaves its bucket.
+    const std::size_t buckets =
+        std::bit_ceil(std::size_t{4} * p_.l1Entries);
+    l1Index_.resize(buckets);
+    l1IndexShift_ = 64 - std::countr_zero(buckets);
     assert(p_.l2Entries % p_.l2Ways == 0);
     l2Sets_ = p_.l2Entries / p_.l2Ways;
     assert((l2Sets_ & (l2Sets_ - 1)) == 0);
@@ -36,23 +41,83 @@ void
 Tlb::flush()
 {
     l1Valid_ = 0;
+    std::fill(l1Index_.begin(), l1Index_.end(), L1IndexEntry{});
     for (auto &e : l2_)
         e.valid = false;
+}
+
+std::size_t
+Tlb::l1Home(Addr vpn) const
+{
+    // Fibonacci hashing: the top bits of vpn * 2^64 / phi.
+    return static_cast<std::size_t>((vpn * 0x9E3779B97F4A7C15ULL) >>
+                                    l1IndexShift_);
+}
+
+std::size_t
+Tlb::l1IndexFind(Addr vpn) const
+{
+    const std::size_t mask = l1Index_.size() - 1;
+    std::size_t i = l1Home(vpn);
+    while (l1Index_[i].copies != 0 && l1Index_[i].vpn != vpn)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+Tlb::l1IndexRemove(Addr vpn, std::uint32_t slot)
+{
+    std::size_t hole = l1IndexFind(vpn);
+    L1IndexEntry &ix = l1Index_[hole];
+    assert(ix.copies != 0);
+    if (--ix.copies != 0) {
+        if (ix.slot == slot) {
+            // The lowest copy leaves: the next lowest one takes over.
+            std::uint32_t t = 0;
+            while (t == slot || l1_[t].vpn != vpn)
+                ++t;
+            ix.slot = t;
+        }
+        return;
+    }
+    // Backward-shift deletion: pull later entries of the probe run into
+    // the hole unless that would move one ahead of its home bucket.
+    const std::size_t mask = l1Index_.size() - 1;
+    for (std::size_t j = (hole + 1) & mask; l1Index_[j].copies != 0;
+         j = (j + 1) & mask) {
+        if (((j - l1Home(l1Index_[j].vpn)) & mask) >= ((j - hole) & mask)) {
+            l1Index_[hole] = l1Index_[j];
+            hole = j;
+        }
+    }
+    l1Index_[hole] = L1IndexEntry{};
+}
+
+void
+Tlb::touchL1(std::uint32_t slot)
+{
+    if (slot == l1Newest_)
+        return;
+    L1Slot &s = l1_[slot];
+    l1_[s.prev].next = s.next;
+    if (slot == l1Oldest_)
+        l1Oldest_ = s.prev;
+    else
+        l1_[s.next].prev = s.prev;
+    s.next = l1Newest_;
+    l1_[l1Newest_].prev = slot;
+    l1Newest_ = slot;
 }
 
 bool
 Tlb::lookupL1(Addr vpn, Addr &ppn)
 {
-    // The first match in index order wins: a walk with several waiters
-    // inserts its vpn once per waiter.
-    for (std::size_t i = 0; i < l1Valid_; ++i) {
-        if (l1Vpn_[i] == vpn) {
-            l1Lru_[i] = ++lruClock_;
-            ppn = l1Ppn_[i];
-            return true;
-        }
-    }
-    return false;
+    const L1IndexEntry &ix = l1Index_[l1IndexFind(vpn)];
+    if (ix.copies == 0)
+        return false;
+    touchL1(ix.slot);
+    ppn = l1_[ix.slot].ppn;
+    return true;
 }
 
 bool
@@ -73,16 +138,31 @@ void
 Tlb::insertL1(Addr vpn, Addr ppn)
 {
     // Fill the first free slot; once full, replace the least recently
-    // used entry (the lowest index among equals).
-    std::size_t slot = l1Valid_;
-    if (slot < l1Lru_.size())
-        ++l1Valid_;
-    else
-        slot = static_cast<std::size_t>(
-            std::min_element(l1Lru_.begin(), l1Lru_.end()) - l1Lru_.begin());
-    l1Vpn_[slot] = vpn;
-    l1Ppn_[slot] = ppn;
-    l1Lru_[slot] = ++lruClock_;
+    // used one.
+    std::uint32_t slot;
+    if (l1Valid_ < l1_.size()) {
+        slot = static_cast<std::uint32_t>(l1Valid_++);
+        if (slot == 0) {
+            l1Oldest_ = 0;
+        } else {
+            l1_[slot].next = l1Newest_;
+            l1_[l1Newest_].prev = slot;
+        }
+        l1Newest_ = slot;
+    } else {
+        slot = l1Oldest_;
+        l1IndexRemove(l1_[slot].vpn, slot);
+        touchL1(slot);
+    }
+    l1_[slot].vpn = vpn;
+    l1_[slot].ppn = ppn;
+    L1IndexEntry &ix = l1Index_[l1IndexFind(vpn)];
+    if (ix.copies == 0) {
+        ix = L1IndexEntry{vpn, slot, 1};
+    } else {
+        ++ix.copies;
+        ix.slot = std::min(ix.slot, slot);
+    }
 }
 
 void

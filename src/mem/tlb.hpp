@@ -137,6 +137,14 @@ class Tlb
 
     bool lookupL1(Addr vpn, Addr &ppn);
     bool lookupL2(Addr vpn, Addr &ppn);
+    /** Make L1 slot @p slot the most recently used. */
+    void touchL1(std::uint32_t slot);
+    /** The index bucket where @p vpn's probe starts. */
+    std::size_t l1Home(Addr vpn) const;
+    /** Index position of @p vpn, or of the empty slot ending its probe. */
+    std::size_t l1IndexFind(Addr vpn) const;
+    /** Drop @p vpn's copy in L1 slot @p slot from the index. */
+    void l1IndexRemove(Addr vpn, std::uint32_t slot);
     void insertL1(Addr vpn, Addr ppn);
     void insertL2(Addr vpn, Addr ppn);
 
@@ -151,16 +159,41 @@ class Tlb
     PageTable &pt_;
     MemLevel &walkMem_;
 
+    /** An L1 slot and its links in the recency list. */
+    struct L1Slot
+    {
+        Addr vpn = 0;
+        Addr ppn = 0;
+        std::uint32_t prev = 0; ///< next more recently used slot
+        std::uint32_t next = 0; ///< next less recently used slot
+    };
+
+    /** An index bucket: @ref copies slots hold @ref vpn; empty at 0. */
+    struct L1IndexEntry
+    {
+        Addr vpn = 0;
+        std::uint32_t slot = 0; ///< the lowest slot holding vpn
+        std::uint32_t copies = 0;
+    };
+
     /**
-     * The fully associative L1 as parallel arrays, so a lookup scans
-     * packed vpns only.  The valid entries are always the prefix
-     * [0, l1Valid_): an insert takes the first free slot while one is
-     * left, and flush() is the only thing that invalidates, all at once.
+     * The fully associative L1.  The valid slots are always the prefix
+     * [0, l1Valid_): a fill takes the first free slot while one is
+     * left, then the least recently used one, and flush() is the only
+     * thing that invalidates, all at once.  Valid slots form a doubly
+     * linked recency list from l1Newest_ to l1Oldest_, and an
+     * open-addressed (linear probing) index maps each resident vpn to
+     * the lowest slot holding it, which is the copy a lookup finds and
+     * refreshes.  A walk with several waiters fills its vpn once per
+     * waiter, so the index counts copies; each vpn would sit in the L1
+     * at most once if a walk filled once.
      */
-    std::vector<Addr> l1Vpn_;
-    std::vector<Addr> l1Ppn_;
-    std::vector<std::uint64_t> l1Lru_;
+    std::vector<L1Slot> l1_;
     std::size_t l1Valid_ = 0;
+    std::uint32_t l1Newest_ = 0;
+    std::uint32_t l1Oldest_ = 0;
+    std::vector<L1IndexEntry> l1Index_; ///< power-of-two buckets
+    int l1IndexShift_ = 0;              ///< 64 - log2(buckets)
 
     std::vector<Entry> l2_; // set-associative, set-major
     unsigned l2Sets_;

@@ -16,6 +16,8 @@
 namespace epf::detail
 {
 
+// Under ASan every block is plain new/delete, so the pool is not built.
+#if !defined(EPF_ASAN)
 namespace
 {
 
@@ -62,6 +64,7 @@ arena()
 }
 
 } // namespace
+#endif
 
 void *
 CallbackSlab::allocate(std::size_t bytes)

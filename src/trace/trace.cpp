@@ -193,8 +193,7 @@ TraceWriter::TraceWriter(const std::string &path, const GuestMemory &gmem,
     if (file_ == nullptr)
         throw std::runtime_error("TraceWriter: cannot open " + path);
 
-    std::vector<std::uint8_t> hdr;
-    hdr.insert(hdr.end(), kMagic, kMagic + sizeof kMagic);
+    std::vector<std::uint8_t> hdr(kMagic, kMagic + sizeof kMagic);
     putU32(hdr, kTraceVersion);
     putU32(hdr, meta_.flags);
     putU64(hdr, meta_.seed);

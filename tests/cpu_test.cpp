@@ -487,6 +487,157 @@ TEST_F(CoreTest, WorkChainResolvesWithinOneCycle)
     EXPECT_EQ(issueGap(3), direct);
 }
 
+/**
+ * A micro-op built by hand, with explicit value ids, as a trace file
+ * may carry it (OpFactory only numbers values in program order).
+ */
+MicroOp
+handOp(MicroOp::Kind kind, Addr vaddr, ValueId produces, ValueId dep0 = 0,
+       ValueId dep1 = 0)
+{
+    MicroOp op;
+    op.kind = kind;
+    op.vaddr = vaddr;
+    op.streamId = 1;
+    op.produces = produces;
+    op.deps = {dep0, dep1};
+    return op;
+}
+
+TEST_F(CoreTest, OlderOpWaitingOnYoungerValueCompletesOneCycleLater)
+{
+    // X waits on value 2, which Y produces from load R's value 1; load D
+    // waits on X's value 3.  In program order Y then X, both complete in
+    // the cycle after R returns.  With X older than Y, a walk of the ROB
+    // in program order passes X before Y completes, so X completes one
+    // cycle later and D issues one core period later.
+    auto issueGap = [this](bool olderWaits) {
+        SetUp();
+        DemandLog log(*eq_);
+        mem_->setListener(&log);
+        const Addr r = at(pageStart()), d = at(pageStart() + 64);
+        const MicroOp x = handOp(MicroOp::Kind::Work, 0, 3, 2);
+        const MicroOp y = handOp(MicroOp::Kind::Work, 0, 2, 1);
+        auto tr = [&]() -> Generator<MicroOp> {
+            co_yield handOp(MicroOp::Kind::Load, r, 1);
+            co_yield olderWaits ? x : y;
+            co_yield olderWaits ? y : x;
+            co_yield handOp(MicroOp::Kind::Load, d, 0, 3);
+        };
+        run(tr());
+        return log.whenAccessed(d) - log.whenAccessed(r);
+    };
+    const Tick inOrder = issueGap(false);
+    EXPECT_GT(inOrder, 0u);
+    EXPECT_EQ(issueGap(true), inOrder + CoreParams{}.period);
+}
+
+TEST_F(CoreTest, ValueProducedByTwoLoadsIsReadyWhenTheFirstReturns)
+{
+    // Two loads in flight produce value 2: an L1 hit and a miss to a
+    // page not yet translated.  Whichever comes first in program order,
+    // consumer D issues when the hit returns, exactly as when the miss
+    // produces an unrelated value.
+    auto consumerIssue = [this](bool hitFirst, ValueId missProduces) {
+        SetUp();
+        DemandLog log(*eq_);
+        mem_->setListener(&log);
+        const std::size_t p = pageStart();
+        const Addr warm = at(p), hit = at(p + 1), d = at(p + 64),
+                   miss = at(p + 2 * kPageBytes / 8);
+        const MicroOp h = handOp(MicroOp::Kind::Load, hit, 2);
+        const MicroOp m = handOp(MicroOp::Kind::Load, miss, missProduces);
+        auto tr = [&]() -> Generator<MicroOp> {
+            co_yield handOp(MicroOp::Kind::Load, warm, 1);
+            // Dispatch waits for the branch, so warm's line is in the L1
+            // before h and m dispatch together.
+            co_yield handOp(MicroOp::Kind::BranchMiss, 0, 0, 1);
+            co_yield hitFirst ? h : m;
+            co_yield hitFirst ? m : h;
+            co_yield handOp(MicroOp::Kind::Load, d, 0, 2);
+        };
+        run(tr());
+        // The miss is still waiting on its page walk when D reaches the
+        // L1, so D cannot have waited for its data.
+        EXPECT_LT(log.whenAccessed(d), log.whenAccessed(miss));
+        return log.whenAccessed(d);
+    };
+    for (bool hitFirst : {true, false}) {
+        SCOPED_TRACE(hitFirst ? "hit first" : "miss first");
+        EXPECT_EQ(consumerIssue(hitFirst, 2), consumerIssue(hitFirst, 3));
+    }
+}
+
+TEST_F(CoreTest, OpNamingOneValueTwiceWaitsForItOnce)
+{
+    // deps = {v, v} behaves as deps = {v, 0}, for a Work op and a load.
+    auto issueTimes = [this](bool twice) {
+        SetUp();
+        DemandLog log(*eq_);
+        mem_->setListener(&log);
+        const Addr r = at(pageStart()), d = at(pageStart() + 64),
+                   e = at(pageStart() + 128);
+        auto tr = [&]() -> Generator<MicroOp> {
+            co_yield handOp(MicroOp::Kind::Load, r, 1);
+            co_yield handOp(MicroOp::Kind::Work, 0, 2, 1, twice ? 1 : 0);
+            co_yield handOp(MicroOp::Kind::Load, d, 0, 1, twice ? 1 : 0);
+            co_yield handOp(MicroOp::Kind::Load, e, 0, 2, twice ? 2 : 0);
+        };
+        run(tr());
+        return std::vector<Tick>{log.whenAccessed(d), log.whenAccessed(e)};
+    };
+    EXPECT_EQ(issueTimes(true), issueTimes(false));
+}
+
+TEST_F(CoreTest, SecondRunOnOneCoreStartsWithNoValueReady)
+{
+    // Every trace numbers its values from 1, so values left ready by an
+    // earlier run on the same core must not satisfy the next trace's
+    // dependences: a dependent-load chain over cold lines still issues
+    // each load a memory latency after the one before.
+    const std::size_t chain = pageStart() + 8 * kPageBytes / 8;
+    auto chainTrace = [this, chain]() -> Generator<MicroOp> {
+        OpFactory f;
+        ValueId prev = 0;
+        for (std::size_t i = 0; i < 6; ++i) {
+            ValueId v;
+            co_yield f.load(at(chain + i * 8), 1, v, prev);
+            prev = v;
+        }
+    };
+    auto issueGaps = [this, chain](const DemandLog &log) {
+        std::vector<Tick> gaps;
+        for (std::size_t i = 1; i < 6; ++i)
+            gaps.push_back(log.whenAccessed(at(chain + i * 8)) -
+                           log.whenAccessed(at(chain + (i - 1) * 8)));
+        return gaps;
+    };
+
+    DemandLog fresh(*eq_);
+    mem_->setListener(&fresh);
+    run(chainTrace());
+    const std::vector<Tick> freshGaps = issueGaps(fresh);
+
+    SetUp();
+    auto other = [this]() -> Generator<MicroOp> {
+        OpFactory f;
+        for (std::size_t i = 0; i < 8; ++i) {
+            ValueId v;
+            co_yield f.load(at(pageStart() + i * 8), 1, v);
+        }
+    };
+    run(other());
+    DemandLog reused(*eq_);
+    mem_->setListener(&reused);
+    run(chainTrace());
+    const std::vector<Tick> reusedGaps = issueGaps(reused);
+    for (std::size_t i = 0; i < freshGaps.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_GT(freshGaps[i], 100 * CoreParams{}.period);
+        EXPECT_GT(reusedGaps[i], freshGaps[i] / 2);
+    }
+}
+
 TEST_F(CoreTest, SleepDoesNotChangeCycleAccounting)
 {
     // One long miss: cycles must cover the whole stall even though the

@@ -614,6 +614,99 @@ TEST(TlbTest, L1EvictsLeastRecentlyUsedAndRefillsAfterFlush)
     EXPECT_EQ(tlb.stats().l2Hits, 1u);
 }
 
+TEST(TlbTest, LookupRefreshesTheLowestSlotCopyOfADuplicateFill)
+{
+    // A walk for page P with two waiters fills P into the full 4-entry
+    // L1 twice, and the first waiter's callback fills page Q (an L2
+    // hit) between the two copies.  A lookup of P then refreshes the
+    // copy in the lower slot.  When that is the older copy, the next two
+    // fills evict D and Q; when it is the newer copy, they evict D and
+    // the older copy, and Q survives.
+    enum : unsigned { Q, A, B, C, D, P, E, F, kPages };
+    for (bool olderCopyLower : {true, false}) {
+        SCOPED_TRACE(olderCopyLower ? "older copy lower" : "newer copy lower");
+        EventQueue eq;
+        GuestMemory gm;
+        std::vector<std::uint64_t> buf(kPages * kPageBytes / 8, 0);
+        Addr base = gm.addRegion("buf", buf.data(), buf.size() * 8);
+        PageTable pt(gm);
+        FakeParent walk_mem(eq, 50);
+        TlbParams tp;
+        tp.l1Entries = 4;
+        Tlb tlb(eq, tp, pt, walk_mem);
+        auto page = [base](unsigned p) { return base + p * kPageBytes; };
+        auto touch = [&](unsigned p) {
+            tlb.translate(page(p),
+                          [](Addr, bool fault) { EXPECT_FALSE(fault); });
+            eq.run();
+        };
+
+        // Q, A, B, C fill slots 0-3, then D replaces Q in slot 0.
+        for (unsigned p : {Q, A, B, C, D})
+            touch(p);
+        // Least recent first, the slots are now 1 2 3 0, so the fills
+        // P, Q, P land in slots 1, 2, 3.  Touching C B A D reorders
+        // them to 3 2 1 0, and the fills land in slots 3, 2, 1.
+        if (!olderCopyLower) {
+            for (unsigned p : {C, B, A, D})
+                touch(p);
+        }
+        tlb.translate(page(P), [&](Addr, bool) {
+            tlb.translate(page(Q), [](Addr, bool) {});
+        });
+        tlb.translate(page(P), [](Addr, bool) {});
+        eq.run();
+        ASSERT_EQ(tlb.stats().walks, 6u); // one walk for both waiters
+        ASSERT_EQ(tlb.stats().l2Hits, 1u); // Q
+
+        const std::uint64_t hits = tlb.stats().l1Hits;
+        touch(P);
+        EXPECT_EQ(tlb.stats().l1Hits, hits + 1);
+        touch(E);
+        touch(F);
+        touch(Q);
+        EXPECT_EQ(tlb.stats().l1Hits, hits + (olderCopyLower ? 1 : 2));
+        EXPECT_EQ(tlb.stats().l2Hits, olderCopyLower ? 2u : 1u);
+    }
+}
+
+TEST(TlbTest, FlushLeavesNoL1Hit)
+{
+    EventQueue eq;
+    GuestMemory gm;
+    std::vector<std::uint64_t> buf(8 * kPageBytes / 8, 0); // 8 pages
+    Addr base = gm.addRegion("buf", buf.data(), buf.size() * 8);
+    PageTable pt(gm);
+    FakeParent walk_mem(eq, 50);
+    TlbParams tp;
+    tp.l1Entries = 4;
+    Tlb tlb(eq, tp, pt, walk_mem);
+    auto translate = [&](unsigned page) {
+        tlb.translate(base + page * kPageBytes,
+                      [](Addr, bool fault) { EXPECT_FALSE(fault); });
+    };
+
+    // Fills, evictions and a duplicate fill (two waiters on page 7).
+    for (unsigned page = 0; page < 7; ++page) {
+        translate(page);
+        eq.run();
+    }
+    translate(7);
+    translate(7);
+    eq.run();
+    translate(7);
+    ASSERT_EQ(tlb.stats().l1Hits, 1u);
+
+    tlb.flush();
+    // No translation may complete from the L1; without running the
+    // queue, none of the walks this starts can refill it either.
+    for (unsigned page = 0; page < 8; ++page)
+        translate(page);
+    EXPECT_EQ(tlb.stats().l1Hits, 1u);
+    eq.run();
+    EXPECT_EQ(tlb.stats().walks, 8u + 8u);
+}
+
 TEST(TlbTest, FaultReportedForUnmapped)
 {
     EventQueue eq;
