@@ -15,18 +15,6 @@ StatRegistry::get(const std::string &name, double fallback) const
     return it == values_.end() ? fallback : it->second;
 }
 
-StatRegistry::StatId
-StatRegistry::intern(const std::string &name)
-{
-    auto [it, inserted] =
-        internIndex_.emplace(name, static_cast<StatId>(handles_.size()));
-    if (!inserted)
-        return it->second;
-    auto node = values_.emplace(name, 0.0).first;
-    handles_.push_back(Handle{&node->first, &node->second});
-    return it->second;
-}
-
 void
 StatRegistry::setUnique(const std::string &name, double value)
 {

@@ -11,7 +11,6 @@
 #ifndef EPF_SIM_STATS_HPP
 #define EPF_SIM_STATS_HPP
 
-#include <cstdint>
 #include <map>
 #include <ostream>
 #include <string>
@@ -24,36 +23,8 @@ namespace epf
 class StatRegistry
 {
   public:
-    /**
-     * Integer handle to an interned statistic.  Handles pin the name
-     * lookup once; set/add/get by handle are a vector index plus a
-     * pointer write, so code that touches a counter per event never
-     * pays the std::map string compare.
-     * Handles stay valid for the registry's lifetime.
-     */
-    using StatId = std::uint32_t;
-
     /** Set (or overwrite) a scalar statistic. */
     void set(const std::string &name, double value) { values_[name] = value; }
-
-    /**
-     * Intern @p name: create the statistic (value 0.0) if absent and
-     * return a stable integer handle to it.  Interning the same name
-     * twice returns the same handle.
-     */
-    StatId intern(const std::string &name);
-
-    /** Set the interned statistic @p id. */
-    void set(StatId id, double value) { *handles_[id].value = value; }
-
-    /** Add @p delta to the interned statistic @p id. */
-    void add(StatId id, double delta) { *handles_[id].value += delta; }
-
-    /** Read the interned statistic @p id. */
-    double get(StatId id) const { return *handles_[id].value; }
-
-    /** Name of the interned statistic @p id. */
-    const std::string &name(StatId id) const { return *handles_[id].name; }
 
     /**
      * Publish a statistic that must not already exist.  Throws
@@ -76,16 +47,7 @@ class StatRegistry
     void dump(std::ostream &os) const;
 
   private:
-    /** Interned pointers into values_ (std::map nodes never move). */
-    struct Handle
-    {
-        const std::string *name;
-        double *value;
-    };
-
     std::map<std::string, double> values_;
-    std::vector<Handle> handles_;
-    std::map<std::string, StatId> internIndex_;
 };
 
 /**

@@ -513,33 +513,6 @@ TEST(StatsTest, RegistrySetGet)
     EXPECT_DOUBLE_EQ(r.get("x"), 3.5);
 }
 
-TEST(StatsTest, InternedHandlesAliasTheNamedStatistic)
-{
-    StatRegistry r;
-    const StatRegistry::StatId id = r.intern("core.loads");
-    EXPECT_EQ(r.intern("core.loads"), id); // stable across re-interning
-    EXPECT_EQ(r.name(id), "core.loads");
-    EXPECT_DOUBLE_EQ(r.get(id), 0.0);
-
-    r.add(id, 3.0);
-    r.add(id, 4.0);
-    EXPECT_DOUBLE_EQ(r.get(id), 7.0);
-    EXPECT_DOUBLE_EQ(r.get("core.loads"), 7.0); // same storage
-
-    // By-name writes are visible through the handle and vice versa,
-    // and handles survive later insertions into the map.
-    r.set("core.loads", 1.0);
-    const StatRegistry::StatId other = r.intern("aaa.first");
-    r.set("zzz.last", 9.0);
-    EXPECT_DOUBLE_EQ(r.get(id), 1.0);
-    r.set(id, 5.0);
-    EXPECT_DOUBLE_EQ(r.get("core.loads"), 5.0);
-    EXPECT_DOUBLE_EQ(r.get(other), 0.0);
-
-    // Interning an already-published name adopts its value.
-    EXPECT_DOUBLE_EQ(r.get(r.intern("zzz.last")), 9.0);
-}
-
 TEST(StatsTest, SampleSummaryQuartiles)
 {
     SampleSummary s =
