@@ -99,11 +99,6 @@ ProgrammablePrefetcher::reset()
     reqQueue_.clear();
     for (auto &p : ppus_)
         p.clear();
-    // Scheduler state is transient, like the PPUs themselves: a stale
-    // round-robin cursor would make the first post-reset event land on a
-    // history-dependent unit.  (globalsAllocated_ and tagKernels_ are
-    // rebuilt above with the rest of the configuration.)
-    rrNext_ = 0;
     for (auto &s : ppuStats_)
         s = PpuStats{};
     stormWindow_ = 0;
@@ -123,9 +118,6 @@ ProgrammablePrefetcher::contextSwitch()
     reqQueue_.clear();
     for (auto &p : ppus_)
         p.clear();
-    // The round-robin cursor goes with the PPU state it points into —
-    // it is scheduler state, not saved configuration.
-    rrNext_ = 0;
     for (auto &la : lookahead_)
         la.reset();
     // Throttle window accounting is transient scheduler state.
@@ -329,19 +321,9 @@ ProgrammablePrefetcher::enqueueObservationNow(Observation obs)
 int
 ProgrammablePrefetcher::pickFreePpu()
 {
-    if (cfg_.policy == SchedulePolicy::kLowestId) {
-        for (unsigned i = 0; i < ppus_.size(); ++i) {
-            if (!ppus_[i].busy)
-                return static_cast<int>(i);
-        }
-        return -1;
-    }
-    for (unsigned n = 0; n < ppus_.size(); ++n) {
-        unsigned i = (rrNext_ + n) % ppus_.size();
-        if (!ppus_[i].busy) {
-            rrNext_ = (i + 1) % ppus_.size();
+    for (unsigned i = 0; i < ppus_.size(); ++i) {
+        if (!ppus_[i].busy)
             return static_cast<int>(i);
-        }
     }
     return -1;
 }

@@ -4,9 +4,10 @@
  *
  * Structure (Fig. 3): snooped core reads and completed prefetch fills pass
  * through the address filter; matching observations enter a 40-entry FIFO
- * observation queue; a scheduler hands them to free programmable prefetch
- * units (12 in-order cores at 1 GHz by default), which run small event
- * kernels that emit new prefetch requests into a 200-entry FIFO request
+ * observation queue; a scheduler hands each one to the lowest-numbered
+ * free programmable prefetch unit (12 in-order cores at 1 GHz by
+ * default; the resulting skew is Fig. 10's), which runs a small event
+ * kernel that emits new prefetch requests into a 200-entry FIFO request
  * queue.  The L1 drains that queue through the shared TLB whenever it has
  * a spare MSHR.  EWMA calculators time loop iterations and prefetch
  * chains to provide dynamic lookahead distances.  Memory-request tags
@@ -40,13 +41,6 @@
 namespace epf
 {
 
-/** How the scheduler picks among free PPUs. */
-enum class SchedulePolicy
-{
-    kLowestId,   ///< paper's policy (makes Fig. 10's skew visible)
-    kRoundRobin, ///< alternative that spreads work evenly
-};
-
 /** Configuration of the programmable prefetcher. */
 struct PpfConfig
 {
@@ -57,7 +51,6 @@ struct PpfConfig
     unsigned dispatchOverhead = 2;
     std::size_t obsQueueCapacity = 40;
     std::size_t reqQueueCapacity = 200;
-    SchedulePolicy policy = SchedulePolicy::kLowestId;
     /** Fig. 11 ablation: stall PPUs on chained prefetches. */
     bool blocking = false;
     unsigned ewmaShift = 3;
@@ -258,6 +251,7 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
      *  here so an injected delay can never re-draw itself). */
     void enqueueObservationNow(Observation obs);
     void trySchedule();
+    /** Lowest-numbered free PPU, or -1 when all are busy. */
     int pickFreePpu();
     /** Begin executing @p obs on @p ppu at the next PPU clock edge. */
     void startEvent(unsigned ppu, Observation obs);
@@ -309,7 +303,6 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
     Ring<LineRequest> reqQueue_;
     std::vector<Ppu> ppus_;
     std::vector<PpuStats> ppuStats_;
-    unsigned rrNext_ = 0;
 
     /** Lookahead snapshot handed to kernels (capacity reused). */
     std::vector<std::uint64_t> lookaheadScratch_;

@@ -422,7 +422,6 @@ TEST_F(PpfTest, LowestIdPolicySkewsWork)
 {
     PpfConfig cfg;
     cfg.numPpus = 4;
-    cfg.policy = SchedulePolicy::kLowestId;
     auto ppf = make(cfg);
     KernelBuilder b("k");
     b.li(1, 1).prefetch(1).halt();
@@ -441,73 +440,6 @@ TEST_F(PpfTest, LowestIdPolicySkewsWork)
     }
     EXPECT_EQ(ppf->ppuStats()[0].events, 6u);
     EXPECT_EQ(ppf->ppuStats()[1].events, 0u);
-}
-
-TEST_F(PpfTest, RoundRobinSpreadsWork)
-{
-    PpfConfig cfg;
-    cfg.numPpus = 4;
-    cfg.policy = SchedulePolicy::kRoundRobin;
-    auto ppf = make(cfg);
-    KernelBuilder b("k");
-    b.li(1, 1).prefetch(1).halt();
-    KernelId k = ppf->kernels().add(b.build());
-    FilterEntry fe;
-    fe.base = base();
-    fe.limit = base() + 32768;
-    fe.onLoad = k;
-    ppf->addFilter(fe);
-
-    for (int i = 0; i < 8; ++i) {
-        ppf->notifyDemand(base() + static_cast<Addr>(i) * 64, true, false,
-                          0);
-        eq_.run();
-    }
-    for (unsigned p = 0; p < 4; ++p)
-        EXPECT_EQ(ppf->ppuStats()[p].events, 2u);
-}
-
-/**
- * reset() must also rewind the round-robin cursor: a freshly reset and
- * reprogrammed prefetcher has to schedule exactly like a new one, not
- * depend on how many events the previous program ran.
- */
-TEST_F(PpfTest, ResetRestartsRoundRobinSchedulingAtPpuZero)
-{
-    PpfConfig cfg;
-    cfg.numPpus = 4;
-    cfg.policy = SchedulePolicy::kRoundRobin;
-    auto ppf = make(cfg);
-
-    auto program = [this](ProgrammablePrefetcher &p) {
-        KernelBuilder b("k");
-        b.li(1, 1).prefetch(1).halt();
-        KernelId k = p.kernels().add(b.build());
-        FilterEntry fe;
-        fe.base = base();
-        fe.limit = base() + 32768;
-        fe.onLoad = k;
-        p.addFilter(fe);
-    };
-    program(*ppf);
-
-    // Advance the round-robin cursor off PPU 0.
-    for (int i = 0; i < 3; ++i) {
-        ppf->notifyDemand(base() + static_cast<Addr>(i) * 64, true, false,
-                          0);
-        eq_.run();
-    }
-    ASSERT_EQ(ppf->ppuStats()[2].events, 1u); // cursor now points at 3
-
-    ppf->reset();
-    program(*ppf);
-    ppf->notifyDemand(base(), true, false, 0);
-    eq_.run();
-
-    // The first post-reset event lands on PPU 0, independent of history.
-    EXPECT_EQ(ppf->ppuStats()[0].events, 1u);
-    for (unsigned p = 1; p < 4; ++p)
-        EXPECT_EQ(ppf->ppuStats()[p].events, 0u);
 }
 
 TEST_F(PpfTest, TrappingKernelCounted)
