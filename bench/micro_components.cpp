@@ -16,9 +16,10 @@
 #include "isa/builder.hpp"
 #include "isa/interpreter.hpp"
 #include "mem/cache.hpp"
+#include "mem/core_port.hpp"
 #include "mem/dram.hpp"
 #include "mem/guest_memory.hpp"
-#include "mem/hierarchy.hpp"
+#include "mem/uncore.hpp"
 #include "ppf/filter.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
@@ -85,7 +86,9 @@ BM_DemandPath(benchmark::State &state)
     std::vector<std::uint64_t> data(1 << 16); // 512 KiB: > L1, < L2
     const epf::Addr base =
         gmem.addRegion("bench", data.data(), data.size() * 8);
-    epf::MemoryHierarchy mem(eq, gmem, epf::MemParams::defaults());
+    const epf::MemParams p = epf::MemParams::defaults();
+    epf::Uncore uncore(eq, gmem, p, 1);
+    epf::CorePort port(eq, gmem, uncore, p, 0);
     epf::Rng rng(1);
     std::uint64_t done = 0;
 
@@ -93,7 +96,7 @@ BM_DemandPath(benchmark::State &state)
         for (int i = 0; i < 64; ++i) {
             const epf::Addr a =
                 base + (rng.next() & ((data.size() * 8) - 1) & ~7ULL);
-            mem.load(a, 0, [&done] { ++done; });
+            port.load(a, 0, [&done] { ++done; });
         }
         eq.run();
         benchmark::DoNotOptimize(done);

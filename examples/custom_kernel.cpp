@@ -17,7 +17,8 @@
 #include "cpu/core.hpp"
 #include "isa/builder.hpp"
 #include "isa/disasm.hpp"
-#include "mem/hierarchy.hpp"
+#include "mem/core_port.hpp"
+#include "mem/uncore.hpp"
 #include "ppf/ppf.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
@@ -81,8 +82,10 @@ main(int argc, char **argv)
         }
     }
 
-    epf::MemoryHierarchy mem(eq, gmem, epf::MemParams::defaults());
-    epf::Core core(eq, epf::CoreParams{}, mem.port());
+    const epf::MemParams mp = epf::MemParams::defaults();
+    epf::Uncore uncore(eq, gmem, mp, 1);
+    epf::CorePort port(eq, gmem, uncore, mp, 0);
+    epf::Core core(eq, epf::CoreParams{}, port);
 
     // ---- Hand-written prefetch kernels ----------------------------
     epf::PpfConfig pcfg;
@@ -172,9 +175,9 @@ main(int argc, char **argv)
 
     auto run = [&](bool with_ppf) {
         if (with_ppf) {
-            mem.setListener(&ppf);
-            mem.setPrefetchSource(&ppf);
-            ppf.setKick([&mem] { mem.kickPrefetcher(); });
+            port.setListener(&ppf);
+            port.setPrefetchSource(&ppf);
+            ppf.setKick([&port] { port.kickPrefetcher(); });
         }
         bool done = false;
         core.run(traverse(false), [&] { done = true; });

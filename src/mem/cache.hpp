@@ -173,7 +173,6 @@ class Cache : public MemLevel
     void writeLine(const LineRequest &req) override;
 
     const Stats &stats() const { return stats_; }
-    void resetStats() { stats_ = Stats{}; }
     const CacheParams &params() const { return p_; }
 
     /** Invalidate all lines and drop statistics (between runs). */

@@ -29,14 +29,6 @@ CorePort::setListener(MemoryListener *l)
 }
 
 void
-CorePort::resetStats()
-{
-    stats_ = Stats{};
-    l1_->resetStats();
-    tlb_->resetStats();
-}
-
-void
 CorePort::load(Addr vaddr, int stream_id, DoneFn done)
 {
     ++stats_.coreLoads;

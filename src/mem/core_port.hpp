@@ -105,8 +105,6 @@ class CorePort
     Tlb &tlb() { return *tlb_; }
     const Stats &stats() const { return stats_; }
 
-    void resetStats();
-
   private:
     /**
      * One demand access in flight between the core and the L1.  Pooled:

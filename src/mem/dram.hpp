@@ -76,9 +76,6 @@ class Dram : public MemLevel
 
     const Stats &stats() const { return stats_; }
 
-    /** Reset statistics (run boundaries). */
-    void resetStats() { stats_ = Stats{}; }
-
     /** Attach the run's fault injector (null: fault-free, the default). */
     void setFaultInjector(FaultInjector *f) { faults_ = f; }
 

@@ -107,7 +107,6 @@ class Tlb
     void translate(Addr vaddr, TranslateFn cb);
 
     const Stats &stats() const { return stats_; }
-    void resetStats() { stats_ = Stats{}; }
 
     /** Drop all cached translations (context-switch support). */
     void flush();

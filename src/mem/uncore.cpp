@@ -77,15 +77,6 @@ Uncore::l2Stats() const
 }
 
 void
-Uncore::resetStats()
-{
-    stats_ = Stats{};
-    for (auto &b : banks_)
-        b.cache->resetStats();
-    dram_->resetStats();
-}
-
-void
 Uncore::attachL1(unsigned p, Cache *l1)
 {
     assert(p < ports_);

@@ -104,8 +104,6 @@ class Uncore : public CoherenceHub
     /** Sum of all banks' cache statistics. */
     Cache::Stats l2Stats() const;
 
-    void resetStats();
-
     /** Register port @p p's L1 with the coherence directory.  Only
      *  called for multi-port assemblies; single-core machines skip the
      *  directory entirely. */

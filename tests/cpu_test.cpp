@@ -13,8 +13,9 @@
 #include "cpu/generator.hpp"
 #include "cpu/micro_op.hpp"
 #include "isa/builder.hpp"
+#include "mem/core_port.hpp"
 #include "mem/guest_memory.hpp"
-#include "mem/hierarchy.hpp"
+#include "mem/uncore.hpp"
 #include "ppf/ppf.hpp"
 #include "sim/event_queue.hpp"
 
@@ -55,9 +56,10 @@ class CoreTest : public ::testing::Test
         gmem_ = std::make_unique<GuestMemory>();
         buf_.assign(1 << 16, 1); // 512 KB: misses L1, mostly misses L2
         base_ = gmem_->addRegion("buf", buf_.data(), buf_.size() * 8);
-        mem_ = std::make_unique<MemoryHierarchy>(*eq_, *gmem_,
-                                                 MemParams::defaults());
-        core_ = std::make_unique<Core>(*eq_, CoreParams{}, mem_->port());
+        const MemParams p = MemParams::defaults();
+        uncore_ = std::make_unique<Uncore>(*eq_, *gmem_, p, 1);
+        port_ = std::make_unique<CorePort>(*eq_, *gmem_, *uncore_, p, 0);
+        core_ = std::make_unique<Core>(*eq_, CoreParams{}, *port_);
     }
 
     Addr at(std::size_t i) { return base_ + i * 8; }
@@ -87,7 +89,8 @@ class CoreTest : public ::testing::Test
     std::unique_ptr<GuestMemory> gmem_;
     std::vector<std::uint64_t> buf_;
     Addr base_ = 0;
-    std::unique_ptr<MemoryHierarchy> mem_;
+    std::unique_ptr<Uncore> uncore_;
+    std::unique_ptr<CorePort> port_;
     std::unique_ptr<Core> core_;
 };
 
@@ -231,10 +234,10 @@ TEST_F(CoreTest, SwPrefetchConvertsMissesToHits)
     };
     std::uint64_t t_pf = run(with_pf());
     EXPECT_EQ(core_->stats().swPrefetches, n - 8);
-    std::uint64_t hits_pf = mem_->l1().stats().loadHits;
+    std::uint64_t hits_pf = port_->l1().stats().loadHits;
     std::uint64_t pf_used =
-        mem_->l1().stats().pfUsed + mem_->l1().stats().pfUsedLate;
-    EXPECT_GT(mem_->l1().stats().prefetchFills, 0u);
+        port_->l1().stats().pfUsed + port_->l1().stats().pfUsedLate;
+    EXPECT_GT(port_->l1().stats().prefetchFills, 0u);
     EXPECT_GT(pf_used, 0u);
 
     SetUp();
@@ -248,11 +251,11 @@ TEST_F(CoreTest, SwPrefetchConvertsMissesToHits)
         }
     };
     std::uint64_t t_plain = run(without());
-    std::uint64_t hits_plain = mem_->l1().stats().loadHits;
+    std::uint64_t hits_plain = port_->l1().stats().loadHits;
 
     // Prefetching converts misses into hits/merges and must not slow
     // the run down materially.
-    EXPECT_GE(hits_pf + mem_->l1().stats().demandMerges, hits_plain);
+    EXPECT_GE(hits_pf + port_->l1().stats().demandMerges, hits_plain);
     EXPECT_LT(t_pf, t_plain + t_plain / 5);
 }
 
@@ -277,7 +280,7 @@ TEST_F(CoreTest, PfConfigKernelMutationMidTraceTakesEffect)
     // idiom), and the next load must run the *patched* program, not
     // stale code.
     ProgrammablePrefetcher ppf(*eq_, *gmem_, PpfConfig{});
-    mem_->setListener(&ppf); // no prefetch source: requests stay queued
+    port_->setListener(&ppf); // no prefetch source: requests stay queued
 
     std::vector<Addr> emitted;
     auto drain = [&] {
@@ -326,7 +329,7 @@ TEST_F(CoreTest, PfConfigMutationFromTrapFreeToTrappingTakesEffect)
     // run the patched code, so the next event traps instead of
     // emitting from the old proven-safe kernel.
     ProgrammablePrefetcher ppf(*eq_, *gmem_, PpfConfig{});
-    mem_->setListener(&ppf);
+    port_->setListener(&ppf);
 
     std::vector<Addr> emitted;
     auto drain = [&] {
@@ -429,7 +432,7 @@ TEST_F(CoreTest, ReadyMemOpsIssueInProgramOrderWithinPortLimit)
     // ready in the same cycle: the two LSU ports take L0 and L1, the
     // store S still issues behind them, and L2/L3 go one cycle later.
     DemandLog log(*eq_);
-    mem_->setListener(&log);
+    port_->setListener(&log);
     const std::size_t p = pageStart();
     const Addr r = at(p), l0 = at(p + 8), l1 = at(p + 16), s = at(p + 24),
                l2 = at(p + 32), l3 = at(p + 40);
@@ -467,7 +470,7 @@ TEST_F(CoreTest, WorkChainResolvesWithinOneCycle)
         SetUp();
         const Addr r = at(pageStart()), d = at(pageStart() + 64);
         DemandLog log(*eq_);
-        mem_->setListener(&log);
+        port_->setListener(&log);
         auto tr = [&]() -> Generator<MicroOp> {
             OpFactory f;
             ValueId v;
@@ -514,7 +517,7 @@ TEST_F(CoreTest, OlderOpWaitingOnYoungerValueCompletesOneCycleLater)
     auto issueGap = [this](bool olderWaits) {
         SetUp();
         DemandLog log(*eq_);
-        mem_->setListener(&log);
+        port_->setListener(&log);
         const Addr r = at(pageStart()), d = at(pageStart() + 64);
         const MicroOp x = handOp(MicroOp::Kind::Work, 0, 3, 2);
         const MicroOp y = handOp(MicroOp::Kind::Work, 0, 2, 1);
@@ -541,7 +544,7 @@ TEST_F(CoreTest, ValueProducedByTwoLoadsIsReadyWhenTheFirstReturns)
     auto consumerIssue = [this](bool hitFirst, ValueId missProduces) {
         SetUp();
         DemandLog log(*eq_);
-        mem_->setListener(&log);
+        port_->setListener(&log);
         const std::size_t p = pageStart();
         const Addr warm = at(p), hit = at(p + 1), d = at(p + 64),
                    miss = at(p + 2 * kPageBytes / 8);
@@ -574,7 +577,7 @@ TEST_F(CoreTest, OpNamingOneValueTwiceWaitsForItOnce)
     auto issueTimes = [this](bool twice) {
         SetUp();
         DemandLog log(*eq_);
-        mem_->setListener(&log);
+        port_->setListener(&log);
         const Addr r = at(pageStart()), d = at(pageStart() + 64),
                    e = at(pageStart() + 128);
         auto tr = [&]() -> Generator<MicroOp> {
@@ -614,7 +617,7 @@ TEST_F(CoreTest, SecondRunOnOneCoreStartsWithNoValueReady)
     };
 
     DemandLog fresh(*eq_);
-    mem_->setListener(&fresh);
+    port_->setListener(&fresh);
     run(chainTrace());
     const std::vector<Tick> freshGaps = issueGaps(fresh);
 
@@ -628,7 +631,7 @@ TEST_F(CoreTest, SecondRunOnOneCoreStartsWithNoValueReady)
     };
     run(other());
     DemandLog reused(*eq_);
-    mem_->setListener(&reused);
+    port_->setListener(&reused);
     run(chainTrace());
     const std::vector<Tick> reusedGaps = issueGaps(reused);
     for (std::size_t i = 0; i < freshGaps.size(); ++i) {

@@ -12,10 +12,11 @@
 #include <vector>
 
 #include "mem/cache.hpp"
+#include "mem/core_port.hpp"
 #include "mem/dram.hpp"
 #include "mem/guest_memory.hpp"
-#include "mem/hierarchy.hpp"
 #include "mem/tlb.hpp"
+#include "mem/uncore.hpp"
 #include "sim/event_queue.hpp"
 
 namespace epf
@@ -756,22 +757,24 @@ TEST(HierarchyTest, LoadRoundTripAndStats)
     GuestMemory gm;
     std::vector<std::uint64_t> buf(1024, 5);
     Addr va = gm.addRegion("buf", buf.data(), buf.size() * 8);
-    MemoryHierarchy mem(eq, gm, MemParams::defaults());
+    const MemParams p = MemParams::defaults();
+    Uncore uncore(eq, gm, p, 1);
+    CorePort port(eq, gm, uncore, p, 0);
 
     int done = 0;
-    mem.load(va, 0, [&] { ++done; });
+    port.load(va, 0, [&] { ++done; });
     eq.run();
     EXPECT_EQ(done, 1);
-    EXPECT_EQ(mem.stats().coreLoads, 1u);
-    EXPECT_EQ(mem.l1().stats().loads, 1u);
-    EXPECT_GE(mem.dram().stats().reads, 1u);
+    EXPECT_EQ(port.stats().coreLoads, 1u);
+    EXPECT_EQ(port.l1().stats().loads, 1u);
+    EXPECT_GE(uncore.dram().stats().reads, 1u);
 
     // Second load to the same line: L1 hit, no extra DRAM reads.
-    auto dram_before = mem.dram().stats().reads;
-    mem.load(va + 8, 0, [&] { ++done; });
+    auto dram_before = uncore.dram().stats().reads;
+    port.load(va + 8, 0, [&] { ++done; });
     eq.run();
     EXPECT_EQ(done, 2);
-    EXPECT_EQ(mem.dram().stats().reads, dram_before);
+    EXPECT_EQ(uncore.dram().stats().reads, dram_before);
 }
 
 TEST(HierarchyTest, StoreRetriesCountedSeparatelyFromLoadRetries)
@@ -782,34 +785,35 @@ TEST(HierarchyTest, StoreRetriesCountedSeparatelyFromLoadRetries)
     Addr va = gm.addRegion("buf", buf.data(), buf.size() * 8);
     MemParams p = MemParams::defaults();
     p.l1.mshrs = 1; // one in-flight miss; everything else must retry
-    MemoryHierarchy mem(eq, gm, p);
+    Uncore uncore(eq, gm, p, 1);
+    CorePort port(eq, gm, uncore, p, 0);
 
     // Baseline sanity: a lone load completes without any retries.
     int warm = 0;
-    mem.load(va, 0, [&] { ++warm; });
+    port.load(va, 0, [&] { ++warm; });
     eq.run();
     ASSERT_EQ(warm, 1);
-    ASSERT_EQ(mem.stats().loadRetries, 0u);
+    ASSERT_EQ(port.stats().loadRetries, 0u);
 
     // Two stores to distinct uncached lines in the same page (their
     // translations share one walk, so both reach the L1 together): the
     // first takes the only MSHR, the second must retry until it fills.
     int done = 0;
-    mem.store(va + 64 * 100, 0, [&] { ++done; });
-    mem.store(va + 64 * 110, 0, [&] { ++done; });
+    port.store(va + 64 * 100, 0, [&] { ++done; });
+    port.store(va + 64 * 110, 0, [&] { ++done; });
     eq.run();
     EXPECT_EQ(done, 2);
-    EXPECT_GT(mem.stats().storeRetries, 0u);
-    EXPECT_EQ(mem.stats().loadRetries, 0u);
+    EXPECT_GT(port.stats().storeRetries, 0u);
+    EXPECT_EQ(port.stats().loadRetries, 0u);
 
     // And the mirror image: loads retrying must not count as stores.
-    mem.resetStats();
-    mem.load(va + 64 * 200, 0, [&] { ++done; });
-    mem.load(va + 64 * 210, 0, [&] { ++done; });
+    const CorePort::Stats before = port.stats();
+    port.load(va + 64 * 200, 0, [&] { ++done; });
+    port.load(va + 64 * 210, 0, [&] { ++done; });
     eq.run();
     EXPECT_EQ(done, 4);
-    EXPECT_GT(mem.stats().loadRetries, 0u);
-    EXPECT_EQ(mem.stats().storeRetries, 0u);
+    EXPECT_GT(port.stats().loadRetries, before.loadRetries);
+    EXPECT_EQ(port.stats().storeRetries, before.storeRetries);
 }
 
 TEST(HierarchyTest, PrefetchSourceDrainedAndFaultsDropped)
@@ -818,7 +822,9 @@ TEST(HierarchyTest, PrefetchSourceDrainedAndFaultsDropped)
     GuestMemory gm;
     std::vector<std::uint64_t> buf(1024, 5);
     Addr va = gm.addRegion("buf", buf.data(), buf.size() * 8);
-    MemoryHierarchy mem(eq, gm, MemParams::defaults());
+    const MemParams p = MemParams::defaults();
+    Uncore uncore(eq, gm, p, 1);
+    CorePort port(eq, gm, uncore, p, 0);
 
     class Src : public PrefetchSource
     {
@@ -842,12 +848,12 @@ TEST(HierarchyTest, PrefetchSourceDrainedAndFaultsDropped)
     bad.isPrefetch = true;
     src.reqs = {ok, bad};
 
-    mem.setPrefetchSource(&src);
-    mem.kickPrefetcher();
+    port.setPrefetchSource(&src);
+    port.kickPrefetcher();
     eq.run();
-    EXPECT_EQ(mem.stats().pfIssued, 1u);
-    EXPECT_EQ(mem.stats().pfDropFault, 1u);
-    EXPECT_EQ(mem.l1().stats().prefetchFills, 1u);
+    EXPECT_EQ(port.stats().pfIssued, 1u);
+    EXPECT_EQ(port.stats().pfDropFault, 1u);
+    EXPECT_EQ(port.l1().stats().prefetchFills, 1u);
 }
 
 /**
@@ -896,10 +902,11 @@ TEST(HierarchyTest, PrefetchIssueNeverTakesReservedDemandMshrs)
     Addr va = gm.addRegion("buf", buf.data(), buf.size() * 8);
     MemParams p = MemParams::defaults();
     p.demandReservedMshrs = 2;
-    MemoryHierarchy mem(eq, gm, p);
+    Uncore uncore(eq, gm, p, 1);
+    CorePort port(eq, gm, uncore, p, 0);
 
     SaturatingSource src(va, 4096, 2000);
-    mem.setPrefetchSource(&src);
+    port.setPrefetchSource(&src);
 
     // Interleave demand loads with the saturating source and step the
     // queue one event at a time, checking the contract continuously.
@@ -909,9 +916,9 @@ TEST(HierarchyTest, PrefetchIssueNeverTakesReservedDemandMshrs)
     // reserved for demand (issue requires free > reserved).
     std::uint64_t completed = 0;
     for (int i = 0; i < 32; ++i)
-        mem.load(va + static_cast<Addr>(i) * 8192, 0,
-                 [&completed] { ++completed; });
-    mem.kickPrefetcher();
+        port.load(va + static_cast<Addr>(i) * 8192, 0,
+                  [&completed] { ++completed; });
+    port.kickPrefetcher();
 
     const std::uint64_t pf_cap = p.l1.mshrs - p.demandReservedMshrs;
     std::uint64_t max_inflight_pf = 0;
@@ -920,12 +927,12 @@ TEST(HierarchyTest, PrefetchIssueNeverTakesReservedDemandMshrs)
         eq.runOne();
         ++steps;
         const std::uint64_t inflight_pf =
-            mem.stats().pfIssued - mem.l1().stats().prefetchFills;
+            port.stats().pfIssued - port.l1().stats().prefetchFills;
         ASSERT_LE(inflight_pf, pf_cap) << "at step " << steps;
         max_inflight_pf = std::max(max_inflight_pf, inflight_pf);
     }
     EXPECT_EQ(completed, 32u);
-    EXPECT_GT(mem.stats().pfIssued, 0u);
+    EXPECT_GT(port.stats().pfIssued, 0u);
     // The saturating source really did drive the queue to the cap —
     // otherwise the bound above proves nothing.
     EXPECT_EQ(max_inflight_pf, pf_cap);
@@ -938,20 +945,21 @@ TEST(HierarchyTest, PrefetchIssueNeverTakesReservedDemandMshrs)
     Addr va2 = gm2.addRegion("buf", buf2.data(), buf2.size() * 8);
     MemParams p2 = MemParams::defaults();
     p2.demandReservedMshrs = p2.l1.mshrs;
-    MemoryHierarchy mem2(eq2, gm2, p2);
+    Uncore uncore2(eq2, gm2, p2, 1);
+    CorePort port2(eq2, gm2, uncore2, p2, 0);
 
     SaturatingSource src2(va2, 4096, 2000);
-    mem2.setPrefetchSource(&src2);
+    port2.setPrefetchSource(&src2);
     std::uint64_t done2 = 0;
     for (int i = 0; i < 8; ++i)
-        mem2.load(va2 + static_cast<Addr>(i) * 8192, 0,
-                  [&done2] { ++done2; });
-    mem2.kickPrefetcher();
+        port2.load(va2 + static_cast<Addr>(i) * 8192, 0,
+                   [&done2] { ++done2; });
+    port2.kickPrefetcher();
     eq2.run();
     EXPECT_EQ(done2, 8u);
-    EXPECT_EQ(mem2.stats().pfIssued, 0u);
+    EXPECT_EQ(port2.stats().pfIssued, 0u);
     EXPECT_EQ(src2.popped(), 0u);
-    EXPECT_EQ(mem2.l1().stats().prefetchFills, 0u);
+    EXPECT_EQ(port2.l1().stats().prefetchFills, 0u);
 }
 
 } // namespace
