@@ -1,6 +1,5 @@
 #include "runner/experiment.hpp"
 
-#include <cassert>
 #include <stdexcept>
 
 #include "compiler/passes.hpp"
@@ -235,9 +234,13 @@ runExperiment(const std::string &workload_name, const RunConfig &cfg)
     // Drain every event (outstanding prefetches included).
     while (!eq.empty())
         eq.run(1'000'000);
+    // A core left unfinished once the queue is empty waits on a value
+    // its trace never produces; its counters would be a silent lie.
     for (unsigned i = 0; i < cores; ++i) {
-        assert(done[i] && "a core did not finish");
-        (void)done[i];
+        if (!done[i])
+            throw std::runtime_error("core " + std::to_string(i) +
+                                     " did not finish workload '" +
+                                     workload_name + "'");
     }
 
     if (capture)

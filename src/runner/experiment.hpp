@@ -124,6 +124,8 @@ bool usesPpf(Technique t);
 /**
  * Run @p workload_name under @p cfg.  A fresh workload instance is
  * created for every run so functional state and caches start cold.
+ * Throws std::runtime_error when a core has not retired its whole trace
+ * once every event has run.
  */
 RunResult runExperiment(const std::string &workload_name,
                         const RunConfig &cfg);

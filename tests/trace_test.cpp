@@ -475,6 +475,35 @@ TEST(TraceReplay, SoftwareUnavailableWithoutSwpfCapture)
     EXPECT_FALSE(res.available);
 }
 
+/**
+ * A trace whose second load waits on a value no op produces can never
+ * retire: the run must fail, naming the core, instead of returning the
+ * cycles it managed before the event queue ran dry.
+ */
+TEST(TraceReplay, UnfinishedCoreFailsTheRun)
+{
+    std::vector<std::uint64_t> data(64);
+    GuestMemory gmem;
+    const Addr base = gmem.addRegion("t.data", data.data(),
+                                     data.size() * sizeof(std::uint64_t));
+    const std::string path = tmpPath("unfinished.epftrace");
+    {
+        TraceWriter w(path, gmem, "", 1.0, 1, false);
+        w.onMicroOp(0, op(MicroOp::Kind::Load, 1, base, 0, 1));
+        w.onMicroOp(1, op(MicroOp::Kind::Load, 1, base + 64, 1, 2, 9));
+        w.onMicroOp(2, op(MicroOp::Kind::Work, 3, 0, -1, 0, 2));
+        w.finalize(0);
+    }
+
+    try {
+        runExperiment("trace:" + path, goldenConfig(Technique::kNone));
+        FAIL() << "a core that never finishes must fail the run";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("core 0"), std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(TraceReplay, RegistryNames)
 {
     ::unsetenv("EPF_TRACE");
