@@ -46,9 +46,6 @@ class PageTable
     /** Translate; page is allocated on first use.  @p vaddr must be mapped. */
     Addr translate(Addr vaddr);
 
-    /** Number of pages touched so far. */
-    std::size_t pagesTouched() const { return vpnToPpn_.size(); }
-
   private:
     static constexpr Addr kPpnBits = 22; // 16 GB physical space
     static constexpr Addr kPpnMask = (Addr{1} << kPpnBits) - 1;

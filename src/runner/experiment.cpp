@@ -1,5 +1,6 @@
 #include "runner/experiment.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "compiler/passes.hpp"
@@ -250,21 +251,11 @@ runExperiment(const std::string &workload_name, const RunConfig &cfg)
 
     res.ticks = eq.now();
 
-    Core::Stats cs{}; // aggregate over cores (cycles = max)
     for (unsigned i = 0; i < cores; ++i) {
         const auto &c = cpus[i]->stats();
-        cs.cycles = c.cycles > cs.cycles ? c.cycles : cs.cycles;
-        cs.instrs += c.instrs;
-        cs.loads += c.loads;
-        cs.stores += c.stores;
-        cs.swPrefetches += c.swPrefetches;
-        cs.configOps += c.configOps;
-        cs.branchMisses += c.branchMisses;
-        cs.commitStallCycles += c.commitStallCycles;
-        cs.robFullCycles += c.robFullCycles;
+        res.cycles = std::max(res.cycles, c.cycles);
+        res.instrs += c.instrs;
     }
-    res.cycles = cs.cycles;
-    res.instrs = cs.instrs;
 
     Cache::Stats l1{}; // aggregate over L1s
     for (unsigned i = 0; i < cores; ++i)
