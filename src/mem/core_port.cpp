@@ -163,13 +163,7 @@ CorePort::issueTranslatedPrefetch(const LineRequest &req)
     // demand misses.  Skidded requests re-issue from the MSHR-free hook
     // once the file drains.
     if (l1_->freeMshrCount() <= p_.demandReservedMshrs) {
-        if (pfSkid_.size() >= kMaxPfSkid) {
-            ++stats_.pfSkidDropped;
-            if (listener_ != nullptr && (req.cbKernel >= 0 || req.tag >= 0))
-                listener_->notifyPrefetchDropped(req);
-            return;
-        }
-        pfSkid_.push_back(req);
+        skidOrDrop(req);
         return;
     }
     switch (l1_->prefetchAccess(req)) {
@@ -181,7 +175,7 @@ CorePort::issueTranslatedPrefetch(const LineRequest &req)
         // The data is already resident: deliver the completion event
         // immediately so dependent event chains keep running (the
         // address filter would equally have seen the demand load).
-        if (listener_ != nullptr && (req.cbKernel >= 0 || req.tag >= 0)) {
+        if (listenerAwaits(req)) {
             LineRequest synth = req;
             synth.synthesized = true;
             listener_->notifyPrefetchFill(synth);
@@ -189,19 +183,25 @@ CorePort::issueTranslatedPrefetch(const LineRequest &req)
         break;
       case Cache::PrefetchResult::Merged:
         ++stats_.pfDropMerged;
-        if (listener_ != nullptr && (req.cbKernel >= 0 || req.tag >= 0))
+        if (listenerAwaits(req))
             listener_->notifyPrefetchDropped(req);
         break;
       case Cache::PrefetchResult::NoMshr:
-        if (pfSkid_.size() >= kMaxPfSkid) {
-            ++stats_.pfSkidDropped;
-            if (listener_ != nullptr && (req.cbKernel >= 0 || req.tag >= 0))
-                listener_->notifyPrefetchDropped(req);
-            break;
-        }
-        pfSkid_.push_back(req);
+        skidOrDrop(req);
         break;
     }
+}
+
+void
+CorePort::skidOrDrop(const LineRequest &req)
+{
+    if (pfSkid_.size() < kMaxPfSkid) {
+        pfSkid_.push_back(req);
+        return;
+    }
+    ++stats_.pfSkidDropped;
+    if (listenerAwaits(req))
+        listener_->notifyPrefetchDropped(req);
 }
 
 } // namespace epf

@@ -124,6 +124,17 @@ class CorePort
     void attemptDemand(DemandTxn *txn);
     void tryIssuePrefetches();
     void issueTranslatedPrefetch(const LineRequest &req);
+    /** Park a translated prefetch the L1 cannot take yet in the skid,
+     *  or drop it (pfSkidDropped) when the skid is full. */
+    void skidOrDrop(const LineRequest &req);
+
+    /** True when the listener chains an event off @p req's outcome
+     *  (a callback kernel or a memory-request tag). */
+    bool
+    listenerAwaits(const LineRequest &req) const
+    {
+        return listener_ != nullptr && (req.cbKernel >= 0 || req.tag >= 0);
+    }
 
     EventQueue &eq_;
     GuestMemory &mem_;
