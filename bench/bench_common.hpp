@@ -6,7 +6,8 @@
  * in parallel across host threads, then formats the same rows/series as
  * the corresponding figure or table of the paper.  Absolute numbers
  * differ from the paper (different substrate, scaled inputs); the
- * *shape* is the reproduction target — see EXPERIMENTS.md.
+ * *shape* is the reproduction target — see README.md, "Reproducing the
+ * paper's figures".
  *
  * Environment knobs shared by all harnesses:
  *   EPF_SCALE    input scale factor (default 0.25; fig9b defaults 0.1)

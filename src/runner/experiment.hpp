@@ -114,7 +114,8 @@ struct RunResult
     /** Pass remarks (converted/pragma techniques). */
     std::vector<std::string> remarks;
 
-    /** Every counter the components expose (debugging, EXPERIMENTS.md). */
+    /** Every counter the components expose, by name (see README.md,
+     *  "Machine model: CorePort / Uncore", for the multi-core names). */
     StatRegistry detail;
 };
 
