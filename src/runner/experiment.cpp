@@ -235,8 +235,8 @@ runExperiment(const std::string &workload_name, const RunConfig &cfg)
     // Drain every event (outstanding prefetches included).
     while (!eq.empty())
         eq.run(1'000'000);
-    // A core left unfinished once the queue is empty waits on a value
-    // its trace never produces; its counters would be a silent lie.
+    // A core still unfinished once the queue is empty waits on a value
+    // its trace never produces: fail rather than report partial counters.
     for (unsigned i = 0; i < cores; ++i) {
         if (!done[i])
             throw std::runtime_error("core " + std::to_string(i) +
