@@ -59,7 +59,10 @@ class Rng
             (static_cast<unsigned __int128>(next()) * bound) >> 64);
     }
 
-    /** Uniform double in [0, 1). */
+    /**
+     * Uniform double in [0, 1): exactly (next() >> 11) * 2^-53, so
+     * uniform() < t can be decided on the integer alone.
+     */
     double
     uniform()
     {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -495,6 +496,16 @@ TEST(RngTest, UniformInUnitInterval)
         sum += u;
     }
     EXPECT_NEAR(sum / 10000.0, 0.5, 0.02);
+}
+
+TEST(RngTest, UniformIsTheTop53BitsScaled)
+{
+    Rng r(13);
+    for (int i = 0; i < 10000; ++i) {
+        Rng copy = r;
+        const double k = static_cast<double>(copy.next() >> 11);
+        ASSERT_EQ(r.uniform(), std::ldexp(k, -53));
+    }
 }
 
 TEST(SplitMixTest, IsDeterministicAndMixing)
