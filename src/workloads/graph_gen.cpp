@@ -14,28 +14,12 @@ rmatEdges(unsigned scale, unsigned edgefactor, Rng &rng)
     EdgeList edges;
     edges.reserve(m);
 
-    // Standard Graph500 Kronecker parameters.
-    const double a = 0.57, b = 0.19, c = 0.19;
-    const double ab = a + b;
-    const double abc = a + b + c;
-
     for (std::uint64_t e = 0; e < m; ++e) {
         std::uint64_t u = 0, v = 0;
         for (unsigned bit = 0; bit < scale; ++bit) {
-            double r = rng.uniform();
-            std::uint64_t ubit = 0, vbit = 0;
-            if (r < a) {
-                // top-left
-            } else if (r < ab) {
-                vbit = 1;
-            } else if (r < abc) {
-                ubit = 1;
-            } else {
-                ubit = 1;
-                vbit = 1;
-            }
-            u = (u << 1) | ubit;
-            v = (v << 1) | vbit;
+            const RmatBits b = rmatBits(rng.next() >> 11);
+            u = (u << 1) | b.u;
+            v = (v << 1) | b.v;
         }
         edges.emplace_back(static_cast<std::uint32_t>(u),
                            static_cast<std::uint32_t>(v));

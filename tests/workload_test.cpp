@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <utility>
 
 #include "compiler/passes.hpp"
 #include "mem/guest_memory.hpp"
@@ -62,6 +64,57 @@ TEST(GraphGenTest, RmatEdgesArePinned)
     EXPECT_EQ(hashEdges(rmatEdges(14, 8, csr)), 0x557EA8E7DD023998ULL);
     Rng list(0xE7F5EED5);
     EXPECT_EQ(hashEdges(rmatEdges(12, 16, list)), 0xE2DE4F99CDA3D715ULL);
+}
+
+/** One level's bits as a compare-and-branch chain on uniform() picks them. */
+std::pair<std::uint64_t, std::uint64_t>
+bitsOf(double r)
+{
+    const double ab = kRmatA + kRmatB;
+    if (r < kRmatA)
+        return {0, 0};
+    if (r < ab)
+        return {0, 1};
+    if (r < ab + kRmatC)
+        return {1, 0};
+    return {1, 1};
+}
+
+// uniformBound(t) must decide every k around it as uniform() < t does.
+// The R-MAT bounds lie in [0.5, 1), where t * 2^53 is an integer; below
+// 0.5 it need not be, and the bound must round up.
+TEST(GraphGenTest, UniformBoundDecidesTheDoubleCompare)
+{
+    const double ab = kRmatA + kRmatB;
+    for (double t : {kRmatA, ab, ab + kRmatC, 0.1, 1.0 / 3.0}) {
+        const std::uint64_t kt = uniformBound(t);
+        EXPECT_EQ(static_cast<double>(kt), std::ceil(std::ldexp(t, 53)));
+        for (std::uint64_t k = kt - 2; k <= kt + 1; ++k)
+            EXPECT_EQ(k < kt, std::ldexp(static_cast<double>(k), -53) < t)
+                << t << " at k = " << k;
+    }
+}
+
+// rmatBits compares (next() >> 11) against these bounds; around each
+// one it must pick the quadrant the double compares pick.
+TEST(GraphGenTest, RmatBitsMatchTheDoubleCompares)
+{
+    const double ab = kRmatA + kRmatB;
+    const std::pair<double, std::uint64_t> bounds[] = {
+        {kRmatA, 5134103575202365ULL},
+        {ab, 6845471433603154ULL},
+        {ab + kRmatC, 8556839292003942ULL},
+    };
+    for (const auto &[t, expected] : bounds) {
+        const std::uint64_t kt = uniformBound(t);
+        EXPECT_EQ(kt, expected) << t;
+        for (std::uint64_t k = kt - 2; k <= kt + 1; ++k) {
+            const RmatBits b = rmatBits(k);
+            EXPECT_EQ(std::make_pair(b.u, b.v),
+                      bitsOf(std::ldexp(static_cast<double>(k), -53)))
+                << "k = " << k;
+        }
+    }
 }
 
 TEST(GraphGenTest, CsrEdgeCountsMatch)
