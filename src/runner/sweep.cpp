@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "sim/rng.hpp"
+#include "sim/stats.hpp"
 
 namespace epf
 {
@@ -350,7 +351,8 @@ SweepEngine::writeJson(std::ostream &os,
                 bool first = true;
                 for (const auto &[k, v] : r.detail.all()) {
                     os << (first ? "" : ", ") << "\"" << jsonEscape(k)
-                       << "\": " << v;
+                       << "\": ";
+                    writeStatValue(os, v);
                     first = false;
                 }
                 os << "}";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <iomanip>
 #include <stdexcept>
 
@@ -25,8 +26,11 @@ StatRegistry::setUnique(const std::string &name, double value)
 void
 StatRegistry::dump(std::ostream &os) const
 {
-    for (const auto &[name, value] : values_)
-        os << std::left << std::setw(48) << name << " " << value << "\n";
+    for (const auto &[name, value] : values_) {
+        os << std::left << std::setw(48) << name << " ";
+        writeStatValue(os, value);
+        os << "\n";
+    }
 }
 
 namespace
@@ -80,6 +84,15 @@ geomean(const std::vector<double> &xs)
         }
     }
     return n == 0 ? 0.0 : std::exp(acc / static_cast<double>(n));
+}
+
+void
+writeStatValue(std::ostream &os, double value)
+{
+    if (std::trunc(value) == value && std::fabs(value) < 0x1p53)
+        os << static_cast<std::int64_t>(value);
+    else
+        os << value;
 }
 
 } // namespace epf

@@ -70,6 +70,14 @@ struct SampleSummary
 /** Geometric mean of a sample set (ignores non-positive entries). */
 double geomean(const std::vector<double> &xs);
 
+/**
+ * Write one statistic: an integral value of magnitude below 2^53 as
+ * that exact integer, any other value in the stream's current format.
+ * (A stream's default 6 significant digits round counters above
+ * 999,999.)
+ */
+void writeStatValue(std::ostream &os, double value);
+
 } // namespace epf
 
 #endif // EPF_SIM_STATS_HPP

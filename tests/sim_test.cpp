@@ -11,6 +11,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -522,6 +524,22 @@ TEST(StatsTest, RegistrySetGet)
     r.set("x", 3.5);
     EXPECT_TRUE(r.has("x"));
     EXPECT_DOUBLE_EQ(r.get("x"), 3.5);
+}
+
+TEST(StatsTest, DumpWritesCountersExactly)
+{
+    StatRegistry r;
+    r.set("big", 6068087);
+    r.set("frac", 0.125);
+    r.set("huge", 0x1p60);
+    std::ostringstream os;
+    r.dump(os);
+    const std::string out = os.str();
+    EXPECT_NE(out.find(" 6068087\n"), std::string::npos) << out;
+    EXPECT_NE(out.find(" 0.125\n"), std::string::npos) << out;
+    // Past 2^53 a double no longer holds every integer: keep the
+    // stream's format.
+    EXPECT_NE(out.find(" 1.15292e+18\n"), std::string::npos) << out;
 }
 
 TEST(StatsTest, SampleSummaryQuartiles)

@@ -179,6 +179,25 @@ TEST(SweepJsonTest, EmitsWellFormedRecords)
     EXPECT_NE(json.find("]\n"), std::string::npos);
 }
 
+// Counters are doubles in the registry; the stream's default format
+// would print 6068087 as 6.06809e+06.
+TEST(SweepJsonTest, WritesIntegralDetailValuesExactly)
+{
+    SweepOutcome o;
+    o.cell.workload = "G500-CSR";
+    o.result.detail.set("core.cycles", 6068087);
+    o.result.detail.set("l1.hitRate", 0.125);
+
+    std::ostringstream os;
+    SweepEngine::writeJson(os, {o}, /*detail=*/true);
+    const std::string json = os.str();
+
+    EXPECT_NE(json.find("\"core.cycles\": 6068087"), std::string::npos)
+        << json;
+    EXPECT_NE(json.find("\"l1.hitRate\": 0.125"), std::string::npos)
+        << json;
+}
+
 /** Scoped setenv/unsetenv that restores the previous value. */
 class EnvVar
 {
