@@ -1,9 +1,9 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the simulator's own components:
- * event-queue throughput, cache access path, PPU interpreter and the
- * compiler pass.  These measure the *host* cost of simulation, useful
- * when scaling inputs.
+ * event-queue throughput, cache access path, PPU interpreter, the
+ * compiler pass and the Graph500 input generator.  These measure the
+ * *host* cost of simulation, useful when scaling inputs.
  */
 
 #include <benchmark/benchmark.h>
@@ -23,6 +23,7 @@
 #include "ppf/filter.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/rng.hpp"
+#include "workloads/graph_gen.hpp"
 
 namespace
 {
@@ -195,6 +196,23 @@ BM_ConversionPass(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ConversionPass);
+
+/**
+ * The Graph500 input generator at G500-CSR's golden-scale shape (scale
+ * 14, edge factor 8): most of a G500 cell's set-up.
+ */
+void
+BM_RmatEdges(benchmark::State &state)
+{
+    for (auto _ : state) {
+        epf::Rng rng(1);
+        epf::EdgeList edges = epf::rmatEdges(14, 8, rng);
+        benchmark::DoNotOptimize(edges.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * (std::int64_t{8} << 14));
+}
+BENCHMARK(BM_RmatEdges);
 
 void
 BM_Rng(benchmark::State &state)
