@@ -163,8 +163,6 @@ class KernelTable
         return n;
     }
 
-    void clear() { kernels_.clear(); }
-
   private:
     std::vector<Kernel> kernels_;
     bool strict_ = true;

@@ -17,19 +17,6 @@ Cache::Cache(EventQueue &eq, const CacheParams &params, MemLevel &parent)
     freeMshrs_ = p_.mshrs;
 }
 
-void
-Cache::reset()
-{
-    for (auto &l : lines_)
-        l = Line{};
-    for (auto &m : mshrs_)
-        m = Mshr{};
-    freeMshrs_ = p_.mshrs;
-    overflow_.clear();
-    lruClock_ = 0;
-    stats_ = Stats{};
-}
-
 unsigned
 Cache::setIndex(Addr line_addr) const
 {

@@ -175,9 +175,6 @@ class Cache : public MemLevel
     const Stats &stats() const { return stats_; }
     const CacheParams &params() const { return p_; }
 
-    /** Invalidate all lines and drop statistics (between runs). */
-    void reset();
-
   private:
     struct Line
     {

@@ -28,20 +28,20 @@ struct LineRequest
     Addr paddr = 0;
     /** Line-aligned virtual address (prefetch events use VAs). */
     Addr vaddr = 0;
-    /** True for prefetch requests (demand otherwise). */
-    bool isPrefetch = false;
+    /** Tick at which the timed prefetch chain started (EWMA input). */
+    Tick timedStart = 0;
     /** Memory-request tag: data-structure id, or -1 for untagged. */
     std::int32_t tag = -1;
     /** PPU kernel to run when this prefetch fills, or -1 for none. */
     std::int32_t cbKernel = -1;
-    /** True if @ref timedStart carries a valid EWMA chain-start tick. */
-    bool hasTimedStart = false;
-    /** Tick at which the timed prefetch chain started (EWMA input). */
-    Tick timedStart = 0;
     /** Filter entry that originated the timed chain (-1 if none). */
     std::int16_t timedOrigin = -1;
     /** PPU stalled on this request in blocked mode (-1 otherwise). */
     std::int16_t originPpu = -1;
+    /** True for prefetch requests (demand otherwise). */
+    bool isPrefetch = false;
+    /** True if @ref timedStart carries a valid EWMA chain-start tick. */
+    bool hasTimedStart = false;
     /**
      * True for completion events synthesised for lines that were already
      * resident (no memory access happened): they keep event chains
@@ -54,8 +54,7 @@ struct LineRequest
  * Completion callback used throughout the hierarchy.
  *
  * Deliberately the same type as EventQueue::Callback so completions move
- * straight onto the event queue without re-wrapping (and with no heap
- * allocation for captures up to the inline budget).
+ * straight onto the event queue without re-wrapping or allocating.
  */
 using DoneFn = SmallFunction<void()>;
 

@@ -210,40 +210,28 @@ Tlb::translate(Addr vaddr, TranslateFn cb)
         });
         return;
     }
-    startWalk(vpn, [this, vpn, offset, cb = std::move(cb)](Addr, bool) {
-        // Walk finished; resolve mapping (or fault) at the leaf.
-        Addr probe = (vpn << kPageShift) | offset;
-        if (!pt_.mapped(probe)) {
-            ++stats_.faults;
-            cb(0, true);
-            return;
-        }
-        Addr paddr = pt_.translate(probe);
-        insertL1(vpn, paddr >> kPageShift);
-        insertL2(vpn, paddr >> kPageShift);
-        cb(paddr, false);
-    });
+    startWalk(vpn, offset, std::move(cb));
 }
 
 void
-Tlb::startWalk(Addr vpn, TranslateFn cb)
+Tlb::startWalk(Addr vpn, Addr offset, TranslateFn cb)
 {
     // Join an active or queued walk for the same page if one exists.
     for (auto &w : activeWalks_) {
         if (w.vpn == vpn) {
-            w.waiters.push_back(std::move(cb));
+            w.waiters.push_back({offset, std::move(cb)});
             return;
         }
     }
     for (auto &w : queuedWalks_) {
         if (w.vpn == vpn) {
-            w.waiters.push_back(std::move(cb));
+            w.waiters.push_back({offset, std::move(cb)});
             return;
         }
     }
     Walk w;
     w.vpn = vpn;
-    w.waiters.push_back(std::move(cb));
+    w.waiters.push_back({offset, std::move(cb)});
     queuedWalks_.push_back(std::move(w));
     pumpWalkQueue();
 }
@@ -290,8 +278,20 @@ Tlb::finishWalk(std::size_t walk_idx)
     Walk done = std::move(activeWalks_[walk_idx]);
     activeWalks_.erase(activeWalks_.begin() +
                        static_cast<std::ptrdiff_t>(walk_idx));
-    for (auto &cb : done.waiters)
-        cb(0, false); // resolution happens in the translate() closure
+    // Resolve each waiter at the leaf, in arrival order: the mapping
+    // (or a fault), then the TLB fills, then its callback.
+    for (auto &w : done.waiters) {
+        const Addr probe = (done.vpn << kPageShift) | w.offset;
+        if (!pt_.mapped(probe)) {
+            ++stats_.faults;
+            w.cb(0, true);
+            continue;
+        }
+        const Addr paddr = pt_.translate(probe);
+        insertL1(done.vpn, paddr >> kPageShift);
+        insertL2(done.vpn, paddr >> kPageShift);
+        w.cb(paddr, false);
+    }
     pumpWalkQueue();
 }
 

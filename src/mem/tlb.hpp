@@ -73,11 +73,11 @@ class Tlb
 {
   public:
     /**
-     * Result callback: (paddr, fault).  56 inline bytes covers the
-     * demand path (a pooled-transaction pointer) and the prefetch path
-     * (a LineRequest by value) without heap allocation.
+     * Result callback: (paddr, fault).  The demand path captures a
+     * pooled-transaction pointer and the prefetch path a LineRequest by
+     * value, both within the inline budget.
      */
-    using TranslateFn = SmallFunction<void(Addr, bool), 56>;
+    using TranslateFn = SmallFunction<void(Addr, bool)>;
 
     struct Stats
     {
@@ -118,10 +118,17 @@ class Tlb
         std::uint64_t lru = 0;
     };
 
+    /** A translation waiting on a walk: its page offset and callback. */
+    struct Waiter
+    {
+        Addr offset;
+        TranslateFn cb;
+    };
+
     struct Walk
     {
         Addr vpn;
-        std::vector<TranslateFn> waiters;
+        std::vector<Waiter> waiters;
     };
 
     /** An L2-hit completion in flight (pooled: L2 hits are hot). */
@@ -145,7 +152,7 @@ class Tlb
     void insertL2(Addr vpn, Addr ppn);
 
     /** Begin or join a walk for @p vpn. */
-    void startWalk(Addr vpn, TranslateFn cb);
+    void startWalk(Addr vpn, Addr offset, TranslateFn cb);
     void issueWalkReads(std::size_t walk_idx, unsigned remaining);
     void finishWalk(std::size_t walk_idx);
     void pumpWalkQueue();

@@ -61,13 +61,6 @@ class Ewma
     /** True once at least one sample has arrived. */
     bool seeded() const { return seeded_; }
 
-    void
-    reset()
-    {
-        value_ = 0;
-        seeded_ = false;
-    }
-
   private:
     unsigned shift_;
     std::uint64_t value_ = 0;
@@ -126,17 +119,6 @@ class LookaheadCalculator
             ratio = max_;
         return ratio;
     }
-
-    void
-    reset()
-    {
-        iter_.reset();
-        chain_.reset();
-        lastAccess_ = kTickMax;
-    }
-
-    const Ewma &iterEwma() const { return iter_; }
-    const Ewma &chainEwma() const { return chain_; }
 
   private:
     Ewma iter_;

@@ -13,8 +13,8 @@
 #define EPF_PPF_FILTER_HPP
 
 #include <algorithm>
-#include <cassert>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -66,12 +66,14 @@ class FilterTable
     /** Hardware-table bound; also sizes match()'s stack buffer. */
     static constexpr std::size_t kMaxEntries = 64;
 
-    /** Add an entry; returns its index (used by lookahead kernels). */
+    /** Add an entry; returns its index (used by lookahead kernels).
+     *  Throws std::invalid_argument past kMaxEntries entries. */
     int
     add(const FilterEntry &e)
     {
-        assert(entries_.size() < kMaxEntries &&
-               "filter table exceeds its hardware bound");
+        if (entries_.size() >= kMaxEntries)
+            throw std::invalid_argument(
+                "filter table exceeds its hardware bound of 64 entries");
         entries_.push_back(e);
         const int idx = static_cast<int>(entries_.size() - 1);
         spans_.insert(std::upper_bound(spans_.begin(), spans_.end(), e.base,
@@ -90,16 +92,6 @@ class FilterTable
     {
         if (spans_.empty())
             return;
-        if (entries_.size() > kMaxEntries) {
-            // Oversized tables (possible in release builds, where the
-            // add() assert compiles out) take the unbounded linear scan
-            // instead of risking the fixed match buffer below.
-            for (std::size_t i = 0; i < entries_.size(); ++i) {
-                if (entries_[i].contains(a))
-                    fn(static_cast<int>(i), entries_[i]);
-            }
-            return;
-        }
         // First span with base > a: everything at or after it starts
         // past the address and can never contain it.
         std::size_t lo = 0, hi = spans_.size();
@@ -127,14 +119,6 @@ class FilterTable
     const FilterEntry &operator[](int idx) const { return entries_.at(static_cast<std::size_t>(idx)); }
 
     std::size_t size() const { return entries_.size(); }
-
-    void
-    clear()
-    {
-        entries_.clear();
-        spans_.clear();
-        prefixMaxLimit_.clear();
-    }
 
   private:
     struct Span

@@ -1,6 +1,7 @@
 #include "ppf/ppf.hpp"
 
 #include <cassert>
+#include <memory>
 #include <stdexcept>
 
 namespace epf
@@ -12,9 +13,6 @@ namespace
 /** Blocked-mode per-PPU local queue bound: a storming chain fills this
  *  and then drops (with a stat) instead of growing without limit. */
 constexpr std::size_t kMaxBlockedLocal = 256;
-
-/** Bounded quarantine transition log (the hash covers everything). */
-constexpr std::size_t kMaxQuarantineLog = 256;
 
 } // namespace
 
@@ -83,51 +81,6 @@ std::uint64_t
 ProgrammablePrefetcher::lookaheadOf(int idx) const
 {
     return lookahead_.at(static_cast<std::size_t>(idx)).lookahead();
-}
-
-void
-ProgrammablePrefetcher::reset()
-{
-    ++epoch_;
-    kernels_.clear();
-    filters_.clear();
-    lookahead_.clear();
-    tagKernels_.clear();
-    std::fill(globals_.begin(), globals_.end(), 0);
-    globalsAllocated_ = 0;
-    obsQueue_.clear();
-    reqQueue_.clear();
-    for (auto &p : ppus_)
-        p.clear();
-    for (auto &s : ppuStats_)
-        s = PpuStats{};
-    stormWindow_ = 0;
-    stormCount_ = 0;
-    throttled_ = false;
-    kernelHealth_.clear();
-    quarantineLog_.clear();
-    quarantineLogHash_ = 0xCBF29CE484222325ULL;
-    stats_ = Stats{};
-}
-
-void
-ProgrammablePrefetcher::contextSwitch()
-{
-    ++epoch_; // aborts every in-flight event
-    obsQueue_.clear();
-    reqQueue_.clear();
-    for (auto &p : ppus_)
-        p.clear();
-    for (auto &la : lookahead_)
-        la.reset();
-    // Throttle window accounting is transient scheduler state.
-    stormWindow_ = 0;
-    stormCount_ = 0;
-    throttled_ = false;
-    // Configuration (filters, globals, kernels, tags) survives: it is
-    // exactly the state the OS saves across context switches (Sec. 5.3).
-    // Quarantine state survives too — it is the OS-visible protection
-    // record of a misbehaving kernel, not per-episode scratch.
 }
 
 // ---------------------------------------------------------------------
@@ -284,15 +237,13 @@ ProgrammablePrefetcher::enqueueObservation(Observation obs)
             return; // lost before the queue ever saw it
         if (faults_->fire(FaultSite::kObsDelay)) {
             // Late delivery: re-enters past the fault sites, so an
-            // injected delay can never re-draw itself, and carries the
-            // epoch guard like every other in-flight event.
-            const std::uint64_t epoch = epoch_;
-            eq_.scheduleIn(faults_->delayTicks(FaultSite::kObsDelay),
-                           [this, epoch, obs = std::move(obs)]() mutable {
-                               if (epoch != epoch_)
-                                   return;
-                               enqueueObservationNow(std::move(obs));
-                           });
+            // injected delay can never re-draw itself.  The observation
+            // outgrows an inline event, so it rides on the heap.
+            eq_.scheduleIn(
+                faults_->delayTicks(FaultSite::kObsDelay),
+                [this, obs = std::make_unique<Observation>(std::move(obs))] {
+                    enqueueObservationNow(std::move(*obs));
+                });
             return;
         }
         if (faults_->fire(FaultSite::kObsOverflow) && !obsQueue_.empty()) {
@@ -349,21 +300,18 @@ ProgrammablePrefetcher::startEvent(unsigned ppu, Observation obs)
     p.busy = true;
     p.executing = true;
     p.lastAssign = eq_.now();
+    p.obs = std::move(obs);
 
     const Tick start = ppuClock_.edgeAtOrAfter(
         eq_.now() + ppuClock_.cyclesToTicks(cfg_.dispatchOverhead));
-    const std::uint64_t epoch = epoch_;
-    eq_.schedule(start, [this, ppu, epoch, obs = std::move(obs), start] {
-        if (epoch != epoch_)
-            return; // aborted by a context switch
-        executeEvent(ppu, obs, start);
-    });
+    eq_.schedule(start, [this, ppu, start] { executeEvent(ppu, start); });
 }
 
 void
-ProgrammablePrefetcher::executeEvent(unsigned ppu, const Observation &obs,
-                                     Tick start)
+ProgrammablePrefetcher::executeEvent(unsigned ppu, Tick start)
 {
+    Ppu &p = ppus_[ppu];
+    const Observation &obs = p.obs;
     if (!kernels_.valid(obs.kernel)) {
         releasePpu(ppu, start);
         return;
@@ -389,11 +337,9 @@ ProgrammablePrefetcher::executeEvent(unsigned ppu, const Observation &obs,
     ctx.lookahead = lookaheadScratch_.data();
     ctx.lookaheadEntries = static_cast<unsigned>(lookaheadScratch_.size());
 
-    // The emit buffer must outlive this call (it rides to finishEvent),
-    // so it comes from a pool rather than the stack.  The interpreter
-    // appends straight into it.
-    std::vector<PrefetchEmit> *emits = emitBuffers_.acquire();
-    emits->clear();
+    // The unit keeps the emits until its finish; the interpreter
+    // appends straight into them.
+    p.emits.clear();
     // Injected runaway: the kernel spins its whole watchdog budget and
     // produces nothing — pure lost PPU time, charged below like a real
     // step-limit exhaustion.
@@ -401,7 +347,7 @@ ProgrammablePrefetcher::executeEvent(unsigned ppu, const Observation &obs,
         faults_ != nullptr && faults_->fire(FaultSite::kRunaway);
     const ExecResult res =
         runaway ? ExecResult{ExitReason::kStepLimit, kMaxKernelSteps, 0}
-                : Interpreter::run(kernels_[obs.kernel], ctx, emits);
+                : Interpreter::run(kernels_[obs.kernel], ctx, &p.emits);
 
     ++stats_.eventsRun;
     ++ppuStats_[ppu].events;
@@ -414,57 +360,60 @@ ProgrammablePrefetcher::executeEvent(unsigned ppu, const Observation &obs,
 
     const Tick finish =
         start + ppuClock_.cyclesToTicks(std::max<std::uint32_t>(res.cycles, 1));
-    const std::uint64_t epoch = epoch_;
-    eq_.schedule(finish, [this, ppu, epoch, finish, emits, obs] {
-        if (epoch != epoch_) {
-            emitBuffers_.release(emits); // aborted: just recycle
-            return;
-        }
-        finishEvent(ppu, finish, emits, obs);
-    });
+    eq_.schedule(finish, [this, ppu, finish] { finishEvent(ppu, finish); });
 }
 
 void
-ProgrammablePrefetcher::finishEvent(unsigned ppu, Tick finish,
-                                    std::vector<PrefetchEmit> *emits,
-                                    Observation obs)
+ProgrammablePrefetcher::finishEvent(unsigned ppu, Tick finish)
 {
     Ppu &p = ppus_[ppu];
     p.executing = false;
 
+    // Copy what the requests need out of the unit's observation before
+    // queueing any: in blocked mode a request-queue overflow can drop an
+    // older chained request of this unit, and notifyPrefetchDropped ->
+    // pumpBlocked then moves its next continuation onto it mid-loop.
+    const KernelId kernel = p.obs.kernel;
+    LineRequest chain;
+    chain.hasTimedStart = p.obs.hasTimedStart;
+    chain.timedStart = p.obs.timedStart;
+    chain.timedOrigin = p.obs.timedOrigin;
+
     // Injected emit storm: the kernel's emit list replays storm-factor
     // times, as a buggy self-retriggering kernel would flood the queue.
     unsigned reps = 1;
-    if (faults_ != nullptr && !emits->empty() &&
+    if (faults_ != nullptr && !p.emits.empty() &&
         faults_->fire(FaultSite::kEmitStorm)) {
         reps = faults_->config().stormFactor > 0
                    ? faults_->config().stormFactor
                    : 1;
         if (cfg_.quarantineThreshold > 0)
-            recordKernelFault(obs.kernel, finish);
+            recordKernelFault(kernel, finish);
     }
 
     bool chained = false;
     for (unsigned r = 0; r < reps; ++r) {
-        for (const auto &e : *emits) {
+        for (const auto &e : p.emits) {
             bool is_chain = e.cbKernel != kNoKernel || e.tag >= 0;
             if (cfg_.blocking && is_chain) {
                 ++p.pendingFills;
                 chained = true;
             }
-            queueRequest(e, obs, cfg_.blocking && is_chain
-                                      ? static_cast<int>(ppu)
-                                      : -1);
+            queueRequest(e, chain, cfg_.blocking && is_chain
+                                        ? static_cast<int>(ppu)
+                                        : -1);
         }
     }
-    stats_.prefetchesEmitted += emits->size() * reps;
-    const bool any = !emits->empty();
-    emitBuffers_.release(emits);
+    stats_.prefetchesEmitted += p.emits.size() * reps;
+    const bool any = !p.emits.empty();
 
     if (any && kick_)
         kick_();
 
-    if (cfg_.blocking && (chained || p.pendingFills > 0 || !p.local.empty())) {
+    // The kick can deliver this unit's fills at once, and one may have
+    // resumed it on a continuation (executing): it stays busy with that.
+    if (cfg_.blocking && (chained || p.executing || p.pendingFills > 0 ||
+                          !p.local.empty())) {
         // Blocked mode: the unit stalls until its chain resolves.
         ++stats_.blockedStalls;
         pumpBlocked(ppu);
@@ -494,16 +443,11 @@ ProgrammablePrefetcher::pumpBlocked(unsigned ppu)
     if (!p.busy || p.executing)
         return;
     if (!p.local.empty()) {
-        Observation obs = std::move(p.local.front());
+        p.obs = std::move(p.local.front());
         p.local.pop_front();
         p.executing = true;
         const Tick start = ppuClock_.edgeAtOrAfter(eq_.now());
-        const std::uint64_t epoch = epoch_;
-        eq_.schedule(start, [this, ppu, epoch, obs = std::move(obs), start] {
-            if (epoch != epoch_)
-                return;
-            executeEvent(ppu, obs, start);
-        });
+        eq_.schedule(start, [this, ppu, start] { executeEvent(ppu, start); });
         return;
     }
     if (p.pendingFills == 0)
@@ -515,17 +459,13 @@ ProgrammablePrefetcher::pumpBlocked(unsigned ppu)
 // ---------------------------------------------------------------------
 
 void
-ProgrammablePrefetcher::queueRequest(const PrefetchEmit &e,
-                                     const Observation &obs, int origin_ppu)
+ProgrammablePrefetcher::queueRequest(const PrefetchEmit &e, LineRequest req,
+                                     int origin_ppu)
 {
-    LineRequest req;
     req.vaddr = e.vaddr;
     req.isPrefetch = true;
     req.tag = e.tag;
     req.cbKernel = e.cbKernel;
-    req.hasTimedStart = obs.hasTimedStart;
-    req.timedStart = obs.timedStart;
-    req.timedOrigin = obs.timedOrigin;
     req.originPpu = static_cast<std::int16_t>(origin_ppu);
 
     if (faults_ != nullptr) {
@@ -544,11 +484,8 @@ ProgrammablePrefetcher::queueRequest(const PrefetchEmit &e,
             return;
         }
         if (faults_->fire(FaultSite::kReqDelay)) {
-            const std::uint64_t epoch = epoch_;
             eq_.scheduleIn(faults_->delayTicks(FaultSite::kReqDelay),
-                           [this, epoch, req]() mutable {
-                               if (epoch != epoch_)
-                                   return;
+                           [this, req]() mutable {
                                queueRequestNow(std::move(req));
                                // finishEvent's kick already ran; a late
                                // request must prod the port itself.
@@ -678,8 +615,6 @@ void
 ProgrammablePrefetcher::logQuarantine(Tick tick, KernelId k, bool kill,
                                       unsigned level)
 {
-    if (quarantineLog_.size() < kMaxQuarantineLog)
-        quarantineLog_.push_back({tick, k, kill, level});
     // FNV-1a over the transition tuple: coverage never saturates.
     auto mix = [this](std::uint64_t v) {
         for (unsigned i = 0; i < 8; ++i) {

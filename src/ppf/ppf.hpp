@@ -34,7 +34,6 @@
 #include "sim/clock.hpp"
 #include "sim/fault.hpp"
 #include "sim/event_queue.hpp"
-#include "sim/object_pool.hpp"
 #include "sim/ring_buffer.hpp"
 #include "sim/small_function.hpp"
 
@@ -112,15 +111,6 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
         std::uint64_t quarantineSkips = 0;
     };
 
-    /** One quarantine watchdog transition (for determinism proofs). */
-    struct QuarantineEvent
-    {
-        Tick tick = 0;
-        KernelId kernel = kNoKernel;
-        bool kill = false; ///< true: killed; false: re-enabled
-        unsigned backoffLevel = 0;
-    };
-
     /** Per-PPU accounting for Fig. 10. */
     struct PpuStats
     {
@@ -163,15 +153,6 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
     /** Attach the run's fault injector (null: fault-free, the default). */
     void setFaultInjector(FaultInjector *f) { faults_ = f; }
 
-    /** Full reset: configuration, queues, statistics. */
-    void reset();
-
-    /**
-     * Context switch (Section 5.3): abort in-flight events, drop both
-     * queues and EWMA state; configuration and globals survive.
-     */
-    void contextSwitch();
-
     // ---- MemoryListener (the snoop/fill port) ----
 
     void notifyDemand(Addr vaddr, bool is_load, bool hit,
@@ -198,16 +179,8 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
     /** Current lookahead (elements) for filter entry @p idx. */
     std::uint64_t lookaheadOf(int idx) const;
 
-    /** Recent quarantine transitions (bounded; see quarantineLogHash). */
-    const std::vector<QuarantineEvent> &
-    quarantineLog() const
-    {
-        return quarantineLog_;
-    }
-
-    /** FNV-1a over every quarantine transition ever taken (unbounded
-     *  coverage even when the log itself saturates) — two runs with the
-     *  same hash took bit-identical kill/re-enable sequences. */
+    /** FNV-1a over every quarantine transition ever taken — two runs
+     *  with the same hash took bit-identical kill/re-enable sequences. */
     std::uint64_t quarantineLogHash() const { return quarantineLogHash_; }
 
   private:
@@ -223,6 +196,11 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
         std::int16_t timedOrigin = -1;
     };
 
+    /**
+     * A programmable prefetch unit.  It holds the event it runs from
+     * dispatch to finish, so the start and finish events capture only
+     * the unit's index.
+     */
     struct Ppu
     {
         bool busy = false;
@@ -233,16 +211,11 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
         Ring<Observation> local;
         /** True while actually executing (vs. stalled). */
         bool executing = false;
-
-        void
-        clear()
-        {
-            busy = false;
-            lastAssign = 0;
-            pendingFills = 0;
-            local.clear();
-            executing = false;
-        }
+        /** The observation this unit is running. */
+        Observation obs;
+        /** Prefetches its kernel emitted, queued when it finishes
+         *  (capacity reused across events). */
+        std::vector<PrefetchEmit> emits;
     };
 
     /** Fault-checked delivery front door (drop/delay/overflow sites). */
@@ -255,16 +228,16 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
     int pickFreePpu();
     /** Begin executing @p obs on @p ppu at the next PPU clock edge. */
     void startEvent(unsigned ppu, Observation obs);
-    /** Interpret the kernel and schedule its completion. */
-    void executeEvent(unsigned ppu, const Observation &obs, Tick start);
-    void finishEvent(unsigned ppu, Tick finish,
-                     std::vector<PrefetchEmit> *emits, Observation obs);
+    /** Interpret @p ppu's kernel and schedule its completion. */
+    void executeEvent(unsigned ppu, Tick start);
+    void finishEvent(unsigned ppu, Tick finish);
     void releasePpu(unsigned ppu, Tick now);
     /** Blocked mode: run the next queued local observation if idle. */
     void pumpBlocked(unsigned ppu);
 
-    /** Turn a kernel emission into a queued LineRequest. */
-    void queueRequest(const PrefetchEmit &e, const Observation &obs,
+    /** Turn a kernel emission into a queued LineRequest; @p req
+     *  carries the emitting event's timed-chain fields. */
+    void queueRequest(const PrefetchEmit &e, LineRequest req,
                       int origin_ppu);
     /** Throttle + capacity-checked push (delayed requests re-enter
      *  here, past the fault sites). */
@@ -306,11 +279,6 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
 
     /** Lookahead snapshot handed to kernels (capacity reused). */
     std::vector<std::uint64_t> lookaheadScratch_;
-    /** Emit buffers in flight between execute and finish (pooled). */
-    ObjectPool<std::vector<PrefetchEmit>> emitBuffers_;
-
-    /** Epoch guard: context switches invalidate in-flight events. */
-    std::uint64_t epoch_ = 0;
 
     SmallFunction<void()> kick_;
     FaultInjector *faults_ = nullptr;
@@ -329,7 +297,6 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
         Tick quarantinedUntil = 0;
     };
     std::vector<KernelHealth> kernelHealth_;
-    std::vector<QuarantineEvent> quarantineLog_;
     std::uint64_t quarantineLogHash_ = 0xCBF29CE484222325ULL;
 
     Stats stats_;

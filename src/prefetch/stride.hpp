@@ -30,13 +30,6 @@ struct StrideParams
 class StridePrefetcher : public QueuedPrefetcher
 {
   public:
-    struct Stats
-    {
-        std::uint64_t trains = 0;
-        std::uint64_t confirms = 0;
-        std::uint64_t issued = 0;
-    };
-
     explicit StridePrefetcher(const StrideParams &params = {})
         : p_(params), table_(params.tableEntries)
     {
@@ -48,7 +41,6 @@ class StridePrefetcher : public QueuedPrefetcher
         (void)hit;
         if (!is_load || stream_id < 0)
             return;
-        ++stats_.trains;
 
         Entry &e = table_[static_cast<unsigned>(stream_id) %
                           table_.size()];
@@ -71,7 +63,6 @@ class StridePrefetcher : public QueuedPrefetcher
         e.lastAddr = vaddr;
 
         if (e.confidence >= 2 && e.stride != 0) {
-            ++stats_.confirms;
             // Issue up to `degree` prefetches ahead, line-deduplicated.
             Addr prev_line = lineAlign(vaddr);
             for (unsigned d = 1; d <= p_.degree; ++d) {
@@ -80,12 +71,9 @@ class StridePrefetcher : public QueuedPrefetcher
                     continue;
                 prev_line = lineAlign(target);
                 push(target);
-                ++stats_.issued;
             }
         }
     }
-
-    const Stats &strideStats() const { return stats_; }
 
   private:
     struct Entry
@@ -98,7 +86,6 @@ class StridePrefetcher : public QueuedPrefetcher
 
     StrideParams p_;
     std::vector<Entry> table_;
-    Stats stats_;
 };
 
 } // namespace epf

@@ -169,6 +169,10 @@ double sweepCellTimeoutFromEnv(double fallback = 0.0);
  */
 std::string sanitizeFileToken(const std::string &token);
 
+/** Minimal JSON string escape (quotes, backslashes, control chars),
+ *  shared by the sweep and golden JSON writers. */
+std::string jsonEscape(const std::string &s);
+
 } // namespace epf
 
 #endif // EPF_RUNNER_SWEEP_HPP

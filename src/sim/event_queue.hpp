@@ -9,9 +9,9 @@
  *
  * Engine internals (hot path, see bench/micro_components.cpp):
  *
- *  - Callbacks are @ref SmallFunction, not std::function: closures up to
- *    48 bytes live inline in their node, larger ones come from a
- *    thread-local slab, so scheduling never calls malloc in steady state.
+ *  - Callbacks are @ref SmallFunction, not std::function: every closure
+ *    fits its 48 inline bytes and lives in its node, so scheduling never
+ *    calls malloc in steady state.
  *  - A pending event is one 64-byte node {next, callback} taken from a
  *    free list over fixed-size chunks.  Chunks are never moved or freed
  *    before the queue is destroyed, so schedule() constructs the closure

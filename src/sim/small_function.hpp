@@ -1,15 +1,15 @@
 /**
  * @file
- * Small-buffer-optimized, move-only callable wrapper for the simulation
- * hot path.
+ * Fixed-size, move-only callable wrapper for the simulation hot path.
  *
  * `std::function` heap-allocates any callable larger than two pointers,
  * and every scheduled event, demand completion and TLB callback in the
- * simulator is such a callable.  `SmallFunction` stores callables up to
- * `InlineBytes` in place (48 bytes covers every per-access closure in the
- * engine) and sends larger ones to a thread-local slab pool
- * (@ref CallbackSlab), so the steady-state event loop performs no heap
- * allocation at all.
+ * simulator is such a callable.  `SmallFunction` stores every callable
+ * in place in a @ref kSmallFunctionInline buffer, so the event loop
+ * performs no heap allocation at all.  A callable that does not fit
+ * fails to compile: work that is in flight lives in its owner (a PPU, a
+ * page walk, a pooled transaction), and the callable captures a pointer
+ * or index to it.
  *
  * Differences from `std::function`, chosen for the hot path:
  *  - move-only (no copy, so no shared-state surprises and no virtual
@@ -32,35 +32,14 @@
 namespace epf
 {
 
-/** Default inline capacity, sized for the engine's per-access closures. */
+/** Inline capacity: an event node is {next, ops, buffer} = 64 bytes. */
 inline constexpr std::size_t kSmallFunctionInline = 48;
 
-namespace detail
-{
-
-/**
- * Thread-local slab pool for callables that overflow the inline buffer.
- *
- * Blocks are binned by size class and recycled through freelists, so the
- * steady state allocates nothing; each sweep worker thread owns its own
- * pool (the engine is single-threaded per EventQueue).  Under
- * AddressSanitizer the pool degrades to plain new/delete so lifetime bugs
- * keep their redzones.
- */
-class CallbackSlab
-{
-  public:
-    static void *allocate(std::size_t bytes);
-    static void deallocate(void *p, std::size_t bytes) noexcept;
-};
-
-} // namespace detail
-
-template <typename Sig, std::size_t InlineBytes = kSmallFunctionInline>
+template <typename Sig>
 class SmallFunction;
 
-template <typename R, typename... Args, std::size_t InlineBytes>
-class SmallFunction<R(Args...), InlineBytes>
+template <typename R, typename... Args>
+class SmallFunction<R(Args...)>
 {
   public:
     SmallFunction() noexcept = default;
@@ -121,7 +100,7 @@ class SmallFunction<R(Args...), InlineBytes>
     operator()(Args... args) const
     {
         assert(ops_ != nullptr && "invoking an empty SmallFunction");
-        return ops_->invoke(target(), std::forward<Args>(args)...);
+        return ops_->invoke(buf_, std::forward<Args>(args)...);
     }
 
     void
@@ -129,12 +108,8 @@ class SmallFunction<R(Args...), InlineBytes>
     {
         if (ops_ == nullptr)
             return;
-        if (ops_->heap) {
-            ops_->destroy(st_.ptr);
-            detail::CallbackSlab::deallocate(st_.ptr, ops_->bytes);
-        } else if (ops_->destroy != nullptr) {
-            ops_->destroy(st_.buf);
-        }
+        if (ops_->destroy != nullptr)
+            ops_->destroy(buf_);
         ops_ = nullptr;
     }
 
@@ -148,10 +123,6 @@ class SmallFunction<R(Args...), InlineBytes>
         void (*relocate)(void *dst, void *src) noexcept;
         /** Destroy the callable in place.  Null means trivial. */
         void (*destroy)(void *) noexcept;
-        /** sizeof the callable (the slab block size to return). */
-        std::size_t bytes;
-        /** True when the callable lives in a slab block. */
-        bool heap;
     };
 
     template <typename Fn>
@@ -177,25 +148,10 @@ class SmallFunction<R(Args...), InlineBytes>
     }
 
     template <typename Fn>
-    static constexpr bool kFitsInline =
-        sizeof(Fn) <= InlineBytes && alignof(Fn) <= alignof(void *);
-
-    template <typename Fn>
     static inline const Ops inlineOps = {
         &invokeFn<Fn>,
         std::is_trivially_copyable_v<Fn> ? nullptr : &relocateFn<Fn>,
         std::is_trivially_destructible_v<Fn> ? nullptr : &destroyFn<Fn>,
-        sizeof(Fn),
-        false,
-    };
-
-    template <typename Fn>
-    static inline const Ops heapOps = {
-        &invokeFn<Fn>,
-        nullptr, // heap-stored: relocation is a pointer move
-        &destroyFn<Fn>,
-        sizeof(Fn),
-        true,
     };
 
     template <typename F>
@@ -203,25 +159,23 @@ class SmallFunction<R(Args...), InlineBytes>
     init(F &&f)
     {
         using Fn = std::decay_t<F>;
+        static_assert(sizeof(Fn) <= kSmallFunctionInline &&
+                          alignof(Fn) <= alignof(void *),
+                      "callables must fit kSmallFunctionInline bytes: "
+                      "keep in-flight state in its owner and capture a "
+                      "pointer or index to it");
         static_assert(std::is_nothrow_move_constructible_v<Fn>,
                       "callables must be nothrow-move-constructible: "
                       "waiter lists and queues relocate them");
-        if constexpr (kFitsInline<Fn>) {
-            if constexpr (std::is_empty_v<Fn>) {
-                // A captureless callable constructs no state, leaving
-                // its one storage byte formally uninitialized; give it
-                // a defined value so the trivial-relocation copy is
-                // clean under -Wuninitialized.
-                st_.buf[0] = 0;
-            }
-            ::new (static_cast<void *>(st_.buf)) Fn(std::forward<F>(f));
-            ops_ = &inlineOps<Fn>;
-        } else {
-            void *mem = detail::CallbackSlab::allocate(sizeof(Fn));
-            ::new (mem) Fn(std::forward<F>(f));
-            st_.ptr = mem;
-            ops_ = &heapOps<Fn>;
+        if constexpr (std::is_empty_v<Fn>) {
+            // A captureless callable constructs no state, leaving its
+            // one storage byte formally uninitialized; give it a
+            // defined value so the trivial-relocation copy is clean
+            // under -Wuninitialized.
+            buf_[0] = 0;
         }
+        ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
+        ops_ = &inlineOps<Fn>;
     }
 
     void
@@ -230,31 +184,17 @@ class SmallFunction<R(Args...), InlineBytes>
         ops_ = other.ops_;
         if (ops_ == nullptr)
             return;
-        if (ops_->heap)
-            st_.ptr = other.st_.ptr;
-        else if (ops_->relocate != nullptr)
-            ops_->relocate(st_.buf, other.st_.buf);
+        if (ops_->relocate != nullptr)
+            ops_->relocate(buf_, other.buf_);
         else
             // The whole buffer: a compile-time size the compiler copies
-            // inline, where ops_->bytes would be a call to libc memcpy.
-            std::memcpy(st_.buf, other.st_.buf, InlineBytes);
+            // inline rather than a call to libc memcpy.
+            std::memcpy(buf_, other.buf_, kSmallFunctionInline);
         other.ops_ = nullptr;
     }
 
-    void *
-    target() const noexcept
-    {
-        return ops_->heap ? st_.ptr : static_cast<void *>(st_.buf);
-    }
-
-    union Storage
-    {
-        alignas(void *) unsigned char buf[InlineBytes];
-        void *ptr;
-    };
-
     const Ops *ops_ = nullptr;
-    mutable Storage st_;
+    alignas(void *) mutable unsigned char buf_[kSmallFunctionInline];
 };
 
 } // namespace epf

@@ -32,9 +32,12 @@ RandAccWorkload::setup(GuestMemory &mem, std::uint64_t seed)
 {
     attach(mem);
     seed_ = seed;
-    table_.assign(tableEntries_, 0);
+    // Reserve and append so each entry is written once: assign(n, 0)
+    // would zero-fill the 32 MiB table before the identity pass.
+    table_.clear();
+    table_.reserve(tableEntries_);
     for (std::uint64_t i = 0; i < tableEntries_; ++i)
-        table_[i] = i;
+        table_.push_back(i);
     ran_.assign(kBatch, 0);
     for (unsigned j = 0; j < kBatch; ++j)
         ran_[j] = splitmix64(seed ^ (j + 1));

@@ -2,11 +2,12 @@
  * @file
  * Unit tests for the programmable prefetcher: address filter, observation
  * queue, scheduler policies, EWMA lookahead, event chains via callback
- * kernels and memory-request tags, context switches and blocked mode.
+ * kernels and memory-request tags, and blocked mode.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "isa/builder.hpp"
@@ -206,34 +207,21 @@ INSTANTIATE_TEST_SUITE_P(AroundIndexBound, FilterTableBoundary,
                                            std::size_t{63},
                                            std::size_t{64}));
 
-#ifdef NDEBUG
-TEST(FilterTableBoundary65, OversizedTableFallsBackToLinearScan)
+TEST(FilterTableBoundary65, OversizedAddThrows)
 {
-    // 65 entries exceed the hardware bound; in release builds (where
-    // add()'s assert compiles out) match() must take the unbounded
-    // linear scan rather than overrun its fixed stack buffer.
+    // 65 entries exceed the hardware bound: the 65th add() throws in
+    // every build and leaves the 64-entry table matching as before.
     const auto entries = boundaryEntries(65);
     FilterTable ft;
-    for (const auto &e : entries)
-        ft.add(e);
-    EXPECT_EQ(ft.size(), 65u);
-    for (Addr a : {Addr{0}, Addr{50}, Addr{64 * 40}, Addr{65 * 40 + 99}})
-        EXPECT_EQ(tableMatches(ft, a), linearMatches(entries, a));
+    for (std::size_t i = 0; i < 64; ++i)
+        ft.add(entries[i]);
+    EXPECT_THROW(ft.add(entries[64]), std::invalid_argument);
+    EXPECT_EQ(ft.size(), 64u);
+    const std::vector<FilterEntry> kept(entries.begin(),
+                                        entries.begin() + 64);
+    for (Addr a : {Addr{0}, Addr{50}, Addr{63 * 40}, Addr{64 * 40 + 50}})
+        EXPECT_EQ(tableMatches(ft, a), linearMatches(kept, a));
 }
-#else
-TEST(FilterTableBoundary65, OversizedAddAssertsInDebugBuilds)
-{
-    const auto entries = boundaryEntries(64);
-    FilterTable ft;
-    for (const auto &e : entries)
-        ft.add(e);
-    FilterEntry extra;
-    extra.name = "overflow";
-    extra.base = 0;
-    extra.limit = 1;
-    EXPECT_DEATH(ft.add(extra), "hardware bound");
-}
-#endif
 
 TEST(FilterTableTest, InsertionOrderPreservedUnderReversedBases)
 {
@@ -529,160 +517,6 @@ TEST_F(PpfTest, EwmaChainSampling)
     EXPECT_EQ(ppf->stats().chainSamples, 1u);
 }
 
-TEST_F(PpfTest, ContextSwitchAbortsEventsKeepsConfig)
-{
-    auto ppf = make();
-    KernelBuilder b("k");
-    b.li(1, 1).prefetch(1).halt();
-    KernelId k = ppf->kernels().add(b.build());
-    FilterEntry fe;
-    fe.base = base();
-    fe.limit = base() + 1024;
-    fe.onLoad = k;
-    ppf->addFilter(fe);
-    ppf->setGlobal(3, 77);
-
-    ppf->notifyDemand(base(), true, false, 0);
-    // Context switch before the scheduled event executes.
-    ppf->contextSwitch();
-    eq_.run();
-    EXPECT_EQ(ppf->stats().eventsRun, 0u);
-    EXPECT_FALSE(ppf->hasRequest());
-    // Configuration survives: a new observation works.
-    ppf->notifyDemand(base(), true, false, 0);
-    eq_.run();
-    EXPECT_EQ(ppf->stats().eventsRun, 1u);
-    EXPECT_EQ(ppf->global(3), 77u);
-}
-
-TEST_F(PpfTest, ContextSwitchAbortsInFlightViaEpochBump)
-{
-    auto ppf = make();
-    KernelBuilder b("k");
-    b.li(1, 1).prefetch(1).halt();
-    KernelId k = ppf->kernels().add(b.build());
-    FilterEntry fe;
-    fe.base = base();
-    fe.limit = base() + 1024;
-    fe.onLoad = k;
-    ppf->addFilter(fe);
-
-    // Several observations in flight (scheduled but not yet executed).
-    for (int i = 0; i < 3; ++i)
-        ppf->notifyDemand(base() + static_cast<Addr>(i) * 64, true, false,
-                          0);
-    EXPECT_EQ(ppf->stats().observations, 3u);
-    ppf->contextSwitch();
-    eq_.run();
-    // The epoch bump invalidated every scheduled event: none ran, none
-    // emitted, and no PPU is left marked busy.
-    EXPECT_EQ(ppf->stats().eventsRun, 0u);
-    EXPECT_FALSE(ppf->hasRequest());
-    ppf->notifyDemand(base(), true, false, 0);
-    eq_.run();
-    EXPECT_EQ(ppf->stats().eventsRun, 1u);
-}
-
-TEST_F(PpfTest, ContextSwitchKeepsConfigButResetsLookahead)
-{
-    auto ppf = make();
-    unsigned g = ppf->allocGlobal(0x1234);
-
-    FilterEntry src;
-    src.name = "src";
-    src.base = base();
-    src.limit = base() + 1024;
-    src.timeSource = true;
-    src.timedStart = true;
-    int src_idx = ppf->addFilter(src);
-
-    FilterEntry dst;
-    dst.name = "dst";
-    dst.base = base() + 2048;
-    dst.limit = base() + 4096;
-    dst.timedEnd = true;
-    ppf->addFilter(dst);
-
-    // Evenly spaced accesses seed the iteration EWMA; a slow timed
-    // chain fill seeds the chain EWMA, pushing the lookahead off its
-    // initial value.
-    const std::uint64_t initial = ppf->lookaheadOf(src_idx);
-    Tick t = 0;
-    for (int i = 0; i < 20; ++i) {
-        t += 160;
-        eq_.schedule(t, [&ppf, this, i] {
-            ppf->notifyDemand(base() + static_cast<Addr>(i % 8) * 64,
-                              true, false, 0);
-        });
-    }
-    LineRequest fill;
-    fill.vaddr = base() + 2048;
-    fill.isPrefetch = true;
-    fill.hasTimedStart = true;
-    fill.timedStart = 0;
-    fill.timedOrigin = static_cast<std::int16_t>(src_idx);
-    eq_.schedule(6400, [&] { ppf->notifyPrefetchFill(fill); });
-    eq_.run();
-    ASSERT_NE(ppf->lookaheadOf(src_idx), initial);
-
-    ppf->contextSwitch();
-    // Transient state (EWMAs) is gone...
-    EXPECT_EQ(ppf->lookaheadOf(src_idx), initial);
-    // ...but configuration survives: filters and globals.
-    EXPECT_EQ(ppf->filters().size(), 2u);
-    EXPECT_EQ(ppf->global(g), 0x1234u);
-}
-
-TEST_F(PpfTest, ResetClearsConfigurationUnlikeContextSwitch)
-{
-    auto ppf = make();
-    KernelBuilder b("k");
-    b.li(1, 1).prefetch(1).halt();
-    KernelId k = ppf->kernels().add(b.build());
-    FilterEntry fe;
-    fe.base = base();
-    fe.limit = base() + 1024;
-    fe.onLoad = k;
-    ppf->addFilter(fe);
-    unsigned g = ppf->allocGlobal(99);
-    ppf->notifyDemand(base(), true, false, 0);
-    eq_.run();
-    EXPECT_EQ(ppf->stats().eventsRun, 1u);
-
-    ppf->reset();
-    // Unlike contextSwitch, reset drops configuration and statistics.
-    EXPECT_EQ(ppf->filters().size(), 0u);
-    EXPECT_EQ(ppf->global(g), 0u);
-    EXPECT_EQ(ppf->stats().eventsRun, 0u);
-    EXPECT_EQ(ppf->stats().observations, 0u);
-    // The global allocator rewinds: the next allocation reuses slot 0.
-    EXPECT_EQ(ppf->allocGlobal(7), g);
-    // The old filter no longer matches anything.
-    ppf->notifyDemand(base(), true, false, 0);
-    eq_.run();
-    EXPECT_EQ(ppf->stats().observations, 0u);
-    EXPECT_EQ(ppf->stats().eventsRun, 0u);
-}
-
-TEST_F(PpfTest, ResetAbortsInFlightEvents)
-{
-    auto ppf = make();
-    KernelBuilder b("k");
-    b.li(1, 1).prefetch(1).halt();
-    KernelId k = ppf->kernels().add(b.build());
-    FilterEntry fe;
-    fe.base = base();
-    fe.limit = base() + 1024;
-    fe.onLoad = k;
-    ppf->addFilter(fe);
-
-    ppf->notifyDemand(base(), true, false, 0);
-    ppf->reset(); // epoch bump: the scheduled event must not run
-    eq_.run();
-    EXPECT_EQ(ppf->stats().eventsRun, 0u);
-    EXPECT_FALSE(ppf->hasRequest());
-}
-
 TEST_F(PpfTest, BlockedModeStallsPpuUntilFill)
 {
     PpfConfig cfg;
@@ -753,6 +587,119 @@ TEST_F(PpfTest, BlockedModeReleasedOnDrop)
     ppf->notifyDemand(base() + 64, true, false, 0);
     eq_.run();
     EXPECT_EQ(ppf->stats().eventsRun, 2u);
+}
+
+/**
+ * Blocked mode, re-entrant finish: queueing a unit's emits overflows
+ * the request queue, which drops an older chained request of the same
+ * unit, and notifyPrefetchDropped -> pumpBlocked moves the unit's next
+ * continuation onto it mid-loop.  Requests queued after that must still
+ * carry the timed-chain fields of the event that emitted them.
+ */
+TEST_F(PpfTest, BlockedOverflowMidEmitKeepsTheEmittersChainFields)
+{
+    PpfConfig cfg;
+    cfg.numPpus = 1;
+    cfg.blocking = true;
+    cfg.reqQueueCapacity = 2;
+    auto ppf = make(cfg);
+
+    KernelBuilder leaf("leaf");
+    leaf.halt();
+    KernelId k_leaf = ppf->kernels().add(leaf.build());
+    KernelBuilder fan("fan");
+    fan.li(1, 0x8000)
+        .prefetchCb(1, k_leaf)
+        .prefetchCb(1, k_leaf)
+        .prefetchCb(1, k_leaf)
+        .halt();
+    KernelId k_fan = ppf->kernels().add(fan.build());
+    FilterEntry fe;
+    fe.base = base();
+    fe.limit = base() + 1024;
+    fe.onLoad = k_fan;
+    ppf->addFilter(fe);
+
+    // The load's three chained requests overflow the queue by one.
+    ppf->notifyDemand(base(), true, false, 0);
+    eq_.run();
+    ASSERT_EQ(ppf->stats().reqDropped, 1u);
+    ASSERT_TRUE(ppf->hasRequest());
+    ppf->popRequest();
+
+    // Two fills return to the stalled unit: the first runs the fan-out
+    // kernel again, the second (queued behind it) emits nothing.
+    LineRequest fill;
+    fill.vaddr = base() + 512;
+    fill.isPrefetch = true;
+    fill.originPpu = 0;
+    fill.cbKernel = k_fan;
+    fill.timedOrigin = 5;
+    ppf->notifyPrefetchFill(fill);
+    fill.cbKernel = k_leaf;
+    fill.timedOrigin = 7;
+    ppf->notifyPrefetchFill(fill);
+    eq_.run();
+
+    const auto reqs = drain(*ppf);
+    ASSERT_FALSE(reqs.empty());
+    EXPECT_EQ(reqs.back().timedOrigin, 5);
+}
+
+/**
+ * Blocked mode, re-entrant kick: a continuation finishes while another
+ * chained request of its unit is still queued, and the kick delivers
+ * that request's fill at once (a resident line answers synchronously).
+ * The fill resumes the unit on its own continuation, so the unit must
+ * not also be released to the load waiting in the observation queue.
+ */
+TEST_F(PpfTest, BlockedKickThatResumesTheUnitKeepsItBusy)
+{
+    PpfConfig cfg;
+    cfg.numPpus = 1;
+    cfg.blocking = true;
+    auto ppf = make(cfg);
+
+    KernelBuilder cont("cont");
+    cont.li(1, 0x9000).prefetch(1).halt();
+    KernelId k_cont = ppf->kernels().add(cont.build());
+    KernelBuilder two("two");
+    two.li(1, 0x8000)
+        .prefetchCb(1, k_cont)
+        .li(1, 0x8040)
+        .prefetchCb(1, k_cont)
+        .halt();
+    KernelId k_two = ppf->kernels().add(two.build());
+    FilterEntry fe;
+    fe.base = base();
+    fe.limit = base() + 1024;
+    fe.onLoad = k_two;
+    ppf->addFilter(fe);
+
+    ppf->notifyDemand(base(), true, false, 0);
+    eq_.run();
+    const LineRequest first = ppf->popRequest();
+    // A second load waits behind the stalled unit.
+    ppf->notifyDemand(base() + 64, true, false, 0);
+
+    bool armed = true;
+    ppf->setKick([&] {
+        if (!armed)
+            return;
+        armed = false;
+        LineRequest second = ppf->popRequest();
+        second.synthesized = true;
+        ppf->notifyPrefetchFill(second);
+    });
+    ppf->notifyPrefetchFill(first);
+    eq_.run();
+
+    // Both continuations ran their own kernel, then the waiting load.
+    EXPECT_EQ(ppf->stats().eventsRun, 4u);
+    std::vector<Addr> targets;
+    for (const auto &r : drain(*ppf))
+        targets.push_back(r.vaddr);
+    EXPECT_EQ(targets, (std::vector<Addr>{0x9000, 0x9000, 0x8000, 0x8040}));
 }
 
 TEST_F(PpfTest, ActivityAccounting)

@@ -168,29 +168,6 @@ TEST(EventQueueTest, SameTickFifoAcrossWheelAndHeap)
     EXPECT_EQ(eq.now(), target);
 }
 
-/** Callbacks past the inline budget go through the slab pool and must
- *  survive heap sifts, moves and execution intact. */
-TEST(EventQueueTest, LargeCaptureCallbacks)
-{
-    EventQueue eq;
-    std::uint64_t sum = 0;
-    for (int i = 0; i < 100; ++i) {
-        std::array<std::uint64_t, 16> payload{}; // 128 B > inline buffer
-        for (std::size_t j = 0; j < payload.size(); ++j)
-            payload[j] = static_cast<std::uint64_t>(i) + j;
-        eq.schedule(static_cast<Tick>(100 - i), [&sum, payload] {
-            for (auto v : payload)
-                sum += v;
-        });
-    }
-    eq.run();
-    std::uint64_t expect = 0;
-    for (int i = 0; i < 100; ++i)
-        for (std::uint64_t j = 0; j < 16; ++j)
-            expect += static_cast<std::uint64_t>(i) + j;
-    EXPECT_EQ(sum, expect);
-}
-
 /** Move-only captures (the DoneFn chains of the demand path). */
 TEST(EventQueueTest, MoveOnlyCaptures)
 {
@@ -294,12 +271,13 @@ TEST(SmallFunctionTest, EmptinessAndMoveSemantics)
 }
 
 /**
- * Inline trivially copyable, inline move-only and slab callables keep
- * their state through moves.  Each move lands in a wrapper whose whole
- * buffer was just filled by a different 48-byte callable, so a move
- * that copies too few bytes leaves that callable's bytes behind.
+ * Trivially copyable callables, short and buffer-filling, and move-only
+ * callables keep their state through moves.  Each move lands in a
+ * wrapper whose whole buffer was just filled by a different 48-byte
+ * callable, so a move that copies too few bytes leaves that callable's
+ * bytes behind.
  */
-TEST(SmallFunctionTest, MovesPreserveInlineAndSlabCallables)
+TEST(SmallFunctionTest, MovesPreserveInlineCallables)
 {
     using Fn = SmallFunction<int()>;
     auto bounce = [](Fn &f) {
@@ -327,19 +305,19 @@ TEST(SmallFunctionTest, MovesPreserveInlineAndSlabCallables)
         return sum;
     };
     Fn moveOnly = [p = std::make_unique<int>(42)] { return *p; };
-    std::array<std::uint64_t, 16> big{}; // 128 B: slab-stored
-    for (std::size_t i = 0; i < big.size(); ++i)
-        big[i] = i;
-    Fn slab = [big] {
+    const std::array<std::uint64_t, 6> six = {1, 2, 3, 4, 5, 6};
+    auto fullFn = [six] {
         std::uint64_t sum = 0;
-        for (auto v : big)
+        for (auto v : six)
             sum += v;
         return static_cast<int>(sum);
     };
+    static_assert(sizeof(fullFn) == kSmallFunctionInline);
+    Fn full = fullFn;
 
     EXPECT_EQ(bounce(trivial), 15);
     EXPECT_EQ(bounce(moveOnly), 42);
-    EXPECT_EQ(bounce(slab), 120);
+    EXPECT_EQ(bounce(full), 21);
 }
 
 TEST(RingTest, FifoPushPopWrapAround)
