@@ -13,9 +13,6 @@ diagCodeName(DiagCode code)
       case DiagCode::kUnreachableCode: return "unreachable-code";
       case DiagCode::kUninitRead: return "uninit-read";
       case DiagCode::kDeadAssignment: return "dead-assignment";
-      case DiagCode::kConstantBranch: return "constant-branch";
-      case DiagCode::kDegeneratePrefetch: return "degenerate-prefetch";
-      case DiagCode::kOutOfRegionPrefetch: return "out-of-region-prefetch";
       case DiagCode::kGuaranteedTrap: return "guaranteed-trap";
       case DiagCode::kWatchdogLoop: return "watchdog-loop";
       case DiagCode::kUnresolvedCallback: return "unresolved-callback";

@@ -48,15 +48,6 @@ enum class DiagCode
     /** A register assignment no path ever reads before the value is
      *  overwritten or the kernel exits. */
     kDeadAssignment,
-    /** A conditional branch whose outcome the value analysis proves:
-     *  always taken or never taken on every execution. */
-    kConstantBranch,
-    /** A prefetch whose address is a compile-time constant: it fetches
-     *  the same line on every event, so it prefetches nothing new. */
-    kDegeneratePrefetch,
-    /** A prefetch whose address range is provably disjoint from every
-     *  declared memory region: the emitted request can never hit. */
-    kOutOfRegionPrefetch,
 
     // ---- static trap facts -----------------------------------------
     /** A reachable instruction that traps every time it executes

@@ -1,11 +1,9 @@
 #include "isa/analysis/verifier.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
-#include "isa/analysis/dataflow.hpp"
 #include "isa/disasm.hpp"
 #include "sim/types.hpp"
 
@@ -126,44 +124,6 @@ fillInstrText(std::vector<Diag> &diags, const std::vector<Instr> &code)
         if (d.pc != kNoPc && static_cast<std::size_t>(d.pc) < code.size() &&
             d.instrText.empty())
             d.instrText = disassemble(code[static_cast<std::size_t>(d.pc)]);
-}
-
-std::string
-refinedTrapWhy(const Instr &in, const KernelContext &ctx)
-{
-    switch (in.op) {
-      case Opcode::kDiv:
-        return "division provably traps on every execution (divisor is "
-               "zero or the INT64_MIN / -1 overflow)";
-      case Opcode::kDivi:
-        return "divi #-1 provably overflows: rs is INT64_MIN on every "
-               "execution";
-      default:
-        return trapWhy(in, ctx);
-    }
-}
-
-/**
- * Can the prefetch target range [lo, hi] (signed bounds on the emitted
- * address) touch the region, with a line of slack either side?  The
- * negative half of the signed range maps to addresses above 2^63 —
- * far outside any modelled region, but only provably so when the whole
- * range is non-negative, so a possibly-negative lo disables the check.
- */
-bool
-mayTouchRegion(std::int64_t lo, std::int64_t hi,
-               const KernelContext::AddrRegion &r)
-{
-    const auto ulo = static_cast<std::uint64_t>(lo);
-    const auto uhi = static_cast<std::uint64_t>(hi);
-    const std::uint64_t slack = kLineBytes;
-    auto satAdd = [](std::uint64_t a, std::uint64_t b) {
-        const std::uint64_t s = a + b;
-        return s < a ? std::numeric_limits<std::uint64_t>::max() : s;
-    };
-    const std::uint64_t regionLo = r.base > slack ? r.base - slack : 0;
-    const std::uint64_t regionHi = satAdd(satAdd(r.base, r.size), slack);
-    return uhi >= regionLo && ulo < regionHi;
 }
 
 } // namespace
@@ -307,86 +267,22 @@ analyzeKernel(const Kernel &k, const KernelContext &ctx)
                              range + " unreachable from the entry"});
     }
 
-    // ---- static trap proofs (value-refined) -------------------------
-    // The dataflow fixpoint sharpens the instruction-local facts: a div
-    // whose divisor interval excludes zero is proven trap-free, a
-    // divisor pinned to zero is a guaranteed trap, and pcs on proven-
-    // dead paths never execute at all.
-    const DataflowResult df = analyzeDataflow(code, cfg, ctx);
-    out.trapFreePc.assign(size, 0);
-    bool reachableTrap = false;
+    // ---- static trap proofs -----------------------------------------
+    // Instruction-local facts only: a reachable always-trapping
+    // instruction is an error, and any reachable may-trap instruction
+    // (or a reachable exit past the code) denies the trap-free proof.
     bool reachableMayTrap = false;
     for (std::uint32_t pc = 0; pc < size; ++pc) {
-        out.trapFreePc[pc] = df.provenTrapFree(pc) ? 1 : 0;
-        if (!out.reachablePc[pc] || !df.in[pc].feasible)
+        if (!out.reachablePc[pc])
             continue;
-        if (df.alwaysTrapsPc[pc] != 0) {
-            reachableTrap = true;
+        if (trapAt[pc] != 0)
             out.diags.push_back({Severity::kError, static_cast<int>(pc),
                                  DiagCode::kGuaranteedTrap,
-                                 trapAt[pc] != 0
-                                     ? trapWhy(code[pc], ctx)
-                                     : refinedTrapWhy(code[pc], ctx)});
-        } else if (df.mayTrapPc[pc] != 0) {
+                                 trapWhy(code[pc], ctx)});
+        if (mayTrap(code[pc], ctx))
             reachableMayTrap = true;
-        }
     }
-    out.provenTrapFree =
-        !boundaryReachable && !reachableTrap && !reachableMayTrap;
-
-    // ---- value-analysis warnings ------------------------------------
-    // All three families fire only on PROVEN facts (a constant or
-    // provably-disjoint range), so top states — the common case —
-    // stay silent.
-    for (std::uint32_t pc = 0; pc < size; ++pc) {
-        if (!out.reachablePc[pc] || !df.in[pc].feasible)
-            continue;
-        const Instr &in = code[pc];
-        const RegState &st = df.in[pc];
-        if (isEmit(in.op)) {
-            const AbsValue &addr = st.reg[in.rs % kPpuRegs];
-            if (const auto c = addr.asConst()) {
-                out.diags.push_back(
-                    {Severity::kWarning, static_cast<int>(pc),
-                     DiagCode::kDegeneratePrefetch,
-                     "prefetch address is always " + std::to_string(*c) +
-                         ": the same line is fetched on every event"});
-            } else if (!ctx.regions.empty() && addr.iv.lo >= 0) {
-                bool touches = false;
-                for (const KernelContext::AddrRegion &r : ctx.regions)
-                    if (mayTouchRegion(addr.iv.lo, addr.iv.hi, r))
-                        touches = true;
-                if (!touches)
-                    out.diags.push_back(
-                        {Severity::kWarning, static_cast<int>(pc),
-                         DiagCode::kOutOfRegionPrefetch,
-                         "prefetch address range [" +
-                             std::to_string(addr.iv.lo) + ", " +
-                             std::to_string(addr.iv.hi) +
-                             "] is provably outside every declared "
-                             "memory region"});
-            }
-        }
-        if (isCondBranch(in.op)) {
-            switch (branchOutcome(in, st)) {
-              case BranchOutcome::kAlwaysTaken:
-                out.diags.push_back(
-                    {Severity::kWarning, static_cast<int>(pc),
-                     DiagCode::kConstantBranch,
-                     "branch is taken on every execution; the "
-                     "fall-through arm is dead"});
-                break;
-              case BranchOutcome::kNeverTaken:
-                out.diags.push_back(
-                    {Severity::kWarning, static_cast<int>(pc),
-                     DiagCode::kConstantBranch,
-                     "branch is never taken; the taken arm is dead"});
-                break;
-              case BranchOutcome::kUnknown:
-                break;
-            }
-        }
-    }
+    out.provenTrapFree = !boundaryReachable && !reachableMayTrap;
 
     // ---- dead assignments (backward liveness) -----------------------
     // A def no path reads before overwrite or exit.  The instruction
@@ -423,7 +319,7 @@ analyzeKernel(const Kernel &k, const KernelContext &ctx)
             for (std::uint32_t pc = blk.last + 1; pc-- > blk.first;) {
                 const UseDef ud = useDef(code[pc]);
                 const std::uint32_t dead = ud.defs & ~live;
-                if (dead != 0 && df.in[pc].feasible) {
+                if (dead != 0) {
                     for (unsigned r = 0; r < kPpuRegs; ++r)
                         if ((dead & (1u << r)) != 0)
                             out.diags.push_back(

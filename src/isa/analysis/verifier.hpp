@@ -25,7 +25,6 @@
 #define EPF_ISA_ANALYSIS_VERIFIER_HPP
 
 #include <functional>
-#include <limits>
 #include <vector>
 
 #include "isa/analysis/cfg.hpp"
@@ -61,32 +60,6 @@ struct KernelContext
 
     /** Installed lookahead filter entries, or -1 when unknown. */
     int lookaheadEntries = -1;
-
-    // ---- value facts consumed by the dataflow layer ------------------
-    // (see dataflow.hpp; all default to "unknown")
-
-    /** A global register whose value is known at analysis time (the
-     *  lint layer seeds these from the live PPF register file). */
-    struct SeededGlobal
-    {
-        unsigned index = 0;
-        std::uint64_t value = 0;
-    };
-    std::vector<SeededGlobal> globalValues;
-
-    /** A declared guest-memory region [base, base + size). */
-    struct AddrRegion
-    {
-        std::uint64_t base = 0;
-        std::uint64_t size = 0;
-    };
-    /** Every region prefetch targets may legally fall in; empty means
-     *  unknown (no out-of-region facts hold). */
-    std::vector<AddrRegion> regions;
-
-    /** Bounds on the triggering virtual address (signed, inclusive). */
-    std::int64_t vaddrLo = std::numeric_limits<std::int64_t>::min();
-    std::int64_t vaddrHi = std::numeric_limits<std::int64_t>::max();
 };
 
 /**
@@ -149,15 +122,8 @@ struct KernelAnalysis
 
     /** Per-pc reachability (code.size() entries): 1 when some path
      *  from the entry executes the instruction.  Consumed by the
-     *  table-wide callback checks and by region-formation clients. */
+     *  table-wide callback checks. */
     std::vector<std::uint8_t> reachablePc;
-
-    /** Per-pc refined trap facts from the dataflow layer (code.size()
-     *  entries): 1 when the instruction can never trap when it
-     *  executes (proven-unreachable pcs qualify vacuously).  Strictly
-     *  no weaker than !mayTrap(in, ctx) — e.g. a div whose divisor
-     *  interval excludes zero. */
-    std::vector<std::uint8_t> trapFreePc;
 
     bool hasErrors() const { return analysis::hasErrors(diags); }
 };

@@ -5,35 +5,11 @@
 
 namespace epf
 {
-namespace
-{
 
-/** No-op step observer (the untraced path). */
-struct NullTrace
-{
-    void
-    operator()(std::size_t, const std::uint64_t *) const
-    {
-    }
-};
-
-/** Step observer forwarding to Interpreter::StepFn. */
-struct FnTrace
-{
-    const Interpreter::StepFn *fn;
-    void
-    operator()(std::size_t pc, const std::uint64_t *regs) const
-    {
-        if (*fn)
-            (*fn)(pc, regs);
-    }
-};
-
-template <class Trace = NullTrace>
 ExecResult
-runImpl(const Kernel &kernel, const EventContext &ctx,
-        std::vector<PrefetchEmit> *sink, unsigned max_steps,
-        std::uint64_t *regs_out, Trace trace = {})
+Interpreter::run(const Kernel &kernel, const EventContext &ctx,
+                 std::vector<PrefetchEmit> *sink, unsigned max_steps,
+                 std::uint64_t *regs_out)
 {
     ExecResult res;
     std::uint64_t regs[kPpuRegs] = {};
@@ -53,7 +29,6 @@ runImpl(const Kernel &kernel, const EventContext &ctx,
             return done(ExitReason::kStepLimit);
         if (pc < 0 || pc >= size)
             return trap();
-        trace(static_cast<std::size_t>(pc), regs);
 
         const Instr &in = kernel.code[static_cast<std::size_t>(pc)];
         ++pc;
@@ -214,24 +189,6 @@ runImpl(const Kernel &kernel, const EventContext &ctx,
             break;
         }
     }
-}
-
-} // namespace
-
-ExecResult
-Interpreter::run(const Kernel &kernel, const EventContext &ctx,
-                 std::vector<PrefetchEmit> *sink, unsigned max_steps,
-                 std::uint64_t *regs_out)
-{
-    return runImpl(kernel, ctx, sink, max_steps, regs_out);
-}
-
-ExecResult
-Interpreter::runTraced(const Kernel &kernel, const EventContext &ctx,
-                       std::vector<PrefetchEmit> *sink, const StepFn &step,
-                       unsigned max_steps, std::uint64_t *regs_out)
-{
-    return runImpl(kernel, ctx, sink, max_steps, regs_out, FnTrace{&step});
 }
 
 } // namespace epf

@@ -21,7 +21,6 @@
 #define EPF_ISA_INTERPRETER_HPP
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "isa/isa.hpp"
@@ -89,28 +88,6 @@ class Interpreter
                           std::vector<PrefetchEmit> *sink,
                           unsigned max_steps = kMaxKernelSteps,
                           std::uint64_t *regs_out = nullptr);
-
-    /**
-     * Per-step observer: invoked with the pc about to execute and the
-     * kPpuRegs register values at that point (i.e. the state *before*
-     * the instruction runs — what a dataflow analysis calls in[pc]).
-     */
-    using StepFn =
-        std::function<void(std::size_t pc, const std::uint64_t *regs)>;
-
-    /**
-     * Traced form of run(): identical semantics, plus @p step fires
-     * before every executed instruction.  Test-only instrumentation —
-     * the dataflow soundness oracle in tests/fuzz_isa_test.cpp checks
-     * every observed register value against the statically computed
-     * abstract state at that pc.
-     */
-    static ExecResult runTraced(const Kernel &kernel,
-                                const EventContext &ctx,
-                                std::vector<PrefetchEmit> *sink,
-                                const StepFn &step,
-                                unsigned max_steps = kMaxKernelSteps,
-                                std::uint64_t *regs_out = nullptr);
 };
 
 } // namespace epf

@@ -37,15 +37,6 @@ Tlb::Tlb(EventQueue &eq, const TlbParams &params, PageTable &pt,
     l2_.resize(p_.l2Entries);
 }
 
-void
-Tlb::flush()
-{
-    l1Valid_ = 0;
-    std::fill(l1Index_.begin(), l1Index_.end(), L1IndexEntry{});
-    for (auto &e : l2_)
-        e.valid = false;
-}
-
 std::size_t
 Tlb::l1Home(Addr vpn) const
 {

@@ -105,9 +105,6 @@ class Tlb
 
     const Stats &stats() const { return stats_; }
 
-    /** Drop all cached translations (context-switch support). */
-    void flush();
-
   private:
     /** An L2 entry. */
     struct Entry
@@ -182,14 +179,14 @@ class Tlb
     /**
      * The fully associative L1.  The valid slots are always the prefix
      * [0, l1Valid_): a fill takes the first free slot while one is
-     * left, then the least recently used one, and flush() is the only
-     * thing that invalidates, all at once.  Valid slots form a doubly
-     * linked recency list from l1Newest_ to l1Oldest_, and an
-     * open-addressed (linear probing) index maps each resident vpn to
-     * the lowest slot holding it, which is the copy a lookup finds and
-     * refreshes.  A walk with several waiters fills its vpn once per
-     * waiter, so the index counts copies; each vpn would sit in the L1
-     * at most once if a walk filled once.
+     * left, then the least recently used one, and nothing invalidates
+     * a slot once filled.  Valid slots form a doubly linked recency
+     * list from l1Newest_ to l1Oldest_, and an open-addressed (linear
+     * probing) index maps each resident vpn to the lowest slot holding
+     * it, which is the copy a lookup finds and refreshes.  A walk with
+     * several waiters fills its vpn once per waiter, so the index
+     * counts copies; each vpn would sit in the L1 at most once if a
+     * walk filled once.
      */
     std::vector<L1Slot> l1_;
     std::size_t l1Valid_ = 0;

@@ -1,8 +1,5 @@
 #include "ppf/lint.hpp"
 
-#include <algorithm>
-#include <limits>
-
 namespace epf
 {
 namespace
@@ -15,12 +12,6 @@ struct Roles
 {
     bool demand = false; ///< filter onLoad: no line data
     bool fill = false;   ///< filter onPrefetch, tag binding, prefetch.cb
-    /** Reachable via a tag binding or prefetch.cb: the triggering
-     *  address is a prefetch target, so no filter range bounds it. */
-    bool tagOrCb = false;
-    /** Hull of the [base, limit) ranges of referencing filters. */
-    bool viaFilter = false;
-    Addr lo = 0, hi = 0;
 };
 
 std::vector<Roles>
@@ -28,38 +19,23 @@ kernelRoles(const ProgrammablePrefetcher &ppf)
 {
     const KernelTable &kt = ppf.kernels();
     std::vector<Roles> roles(kt.size());
-    auto mark = [&roles, &kt](KernelId id, bool fill) -> Roles * {
-        if (id < 0 || !kt.valid(id))
-            return nullptr;
-        Roles &r = roles[static_cast<std::size_t>(id)];
-        (fill ? r.fill : r.demand) = true;
-        return &r;
+    auto mark = [&roles, &kt](KernelId id, bool Roles::*role) {
+        if (id >= 0 && kt.valid(id))
+            roles[static_cast<std::size_t>(id)].*role = true;
     };
 
     const FilterTable &ft = ppf.filters();
     for (std::size_t i = 0; i < ft.size(); ++i) {
         const FilterEntry &e = ft[static_cast<int>(i)];
-        for (Roles *r : {mark(e.onLoad, false), mark(e.onPrefetch, true)}) {
-            if (!r || e.limit <= e.base)
-                continue;
-            if (!r->viaFilter) {
-                r->lo = e.base;
-                r->hi = e.limit;
-                r->viaFilter = true;
-            } else {
-                r->lo = std::min(r->lo, e.base);
-                r->hi = std::max(r->hi, e.limit);
-            }
-        }
+        mark(e.onLoad, &Roles::demand);
+        mark(e.onPrefetch, &Roles::fill);
     }
     for (KernelId id : ppf.tagKernels())
-        if (Roles *r = mark(id, true))
-            r->tagOrCb = true;
+        mark(id, &Roles::fill);
     for (std::size_t i = 0; i < kt.size(); ++i)
         for (const Instr &in : kt[static_cast<KernelId>(i)].code)
             if (in.op == Opcode::kPrefetchCb)
-                if (Roles *r = mark(static_cast<KernelId>(in.imm), true))
-                    r->tagOrCb = true;
+                mark(static_cast<KernelId>(in.imm), &Roles::fill);
     return roles;
 }
 
@@ -74,23 +50,6 @@ contextFromRoles(const ProgrammablePrefetcher &ppf, const Roles &r)
     // both, or not referenced at all: stay kUnknown
     ctx.globalsPresent = true; // the PPF always wires its global file
     ctx.lookaheadEntries = static_cast<int>(ppf.filters().size());
-
-    // Value facts for the dataflow layer — a snapshot of the current
-    // configuration, which is the contract of linting: run it after
-    // setup, and the proofs hold for that setup.
-    for (unsigned i = 0; i < ppf.globalsAllocated(); ++i)
-        ctx.globalValues.push_back({i, ppf.global(i)});
-    for (const GuestMemory::Region &reg : ppf.guestMem().regions())
-        ctx.regions.push_back({reg.base, reg.size});
-    // The triggering vaddr is bounded by the referencing filter ranges
-    // only when every trigger is a filter (a tag or callback trigger
-    // carries an arbitrary prefetch target).
-    if (r.viaFilter && !r.tagOrCb &&
-        r.hi - 1 <=
-            static_cast<Addr>(std::numeric_limits<std::int64_t>::max())) {
-        ctx.vaddrLo = static_cast<std::int64_t>(r.lo);
-        ctx.vaddrHi = static_cast<std::int64_t>(r.hi - 1);
-    }
     return ctx;
 }
 

@@ -14,32 +14,42 @@ namespace
  *  and then drops (with a stat) instead of growing without limit. */
 constexpr std::size_t kMaxBlockedLocal = 256;
 
+/**
+ * A copy of @p cfg, or std::invalid_argument.  The constructor's
+ * initializer list calls this before it builds anything from the config
+ * (ClockDomain asserts a positive period).  Queue capacities are
+ * load-bearing too: drop-oldest pops the front before pushing, so a
+ * zero capacity would pop an empty ring.  These are host configuration
+ * errors, not kernel-controlled conditions, so they throw rather than
+ * degrade.
+ */
+PpfConfig
+validated(const PpfConfig &cfg)
+{
+    if (cfg.numPpus == 0)
+        throw std::invalid_argument("PpfConfig::numPpus must be positive");
+    if (cfg.ppuPeriod == 0)
+        throw std::invalid_argument("PpfConfig::ppuPeriod must be positive");
+    if (cfg.obsQueueCapacity == 0)
+        throw std::invalid_argument(
+            "PpfConfig::obsQueueCapacity must be positive");
+    if (cfg.reqQueueCapacity == 0)
+        throw std::invalid_argument(
+            "PpfConfig::reqQueueCapacity must be positive");
+    if (cfg.stormWindowTicks > 0 && cfg.stormThreshold == 0)
+        throw std::invalid_argument(
+            "PpfConfig::stormThreshold must be positive when the storm "
+            "throttle window is enabled");
+    return cfg;
+}
+
 } // namespace
 
 ProgrammablePrefetcher::ProgrammablePrefetcher(EventQueue &eq,
                                                GuestMemory &mem,
                                                const PpfConfig &cfg)
-    : eq_(eq), mem_(mem), cfg_(cfg), ppuClock_(cfg.ppuPeriod)
+    : eq_(eq), mem_(mem), cfg_(validated(cfg)), ppuClock_(cfg_.ppuPeriod)
 {
-    // Queue capacities are load-bearing below (drop-oldest pops the
-    // front before pushing): a zero capacity would pop an empty ring.
-    // These are host configuration errors, not kernel-controlled
-    // conditions, so they throw rather than degrade.
-    if (cfg_.numPpus == 0)
-        throw std::invalid_argument("PpfConfig::numPpus must be positive");
-    if (cfg_.ppuPeriod == 0)
-        throw std::invalid_argument("PpfConfig::ppuPeriod must be positive");
-    if (cfg_.obsQueueCapacity == 0)
-        throw std::invalid_argument(
-            "PpfConfig::obsQueueCapacity must be positive");
-    if (cfg_.reqQueueCapacity == 0)
-        throw std::invalid_argument(
-            "PpfConfig::reqQueueCapacity must be positive");
-    if (cfg_.stormWindowTicks > 0 && cfg_.stormThreshold == 0)
-        throw std::invalid_argument(
-            "PpfConfig::stormThreshold must be positive when the storm "
-            "throttle window is enabled");
-
     globals_.resize(kGlobalRegs, 0);
     ppus_.resize(cfg_.numPpus);
     ppuStats_.resize(cfg_.numPpus);
@@ -368,6 +378,7 @@ ProgrammablePrefetcher::finishEvent(unsigned ppu, Tick finish)
 {
     Ppu &p = ppus_[ppu];
     p.executing = false;
+    const std::uint64_t releases = p.releases;
 
     // Copy what the requests need out of the unit's observation before
     // queueing any: in blocked mode a request-queue overflow can drop an
@@ -394,14 +405,17 @@ ProgrammablePrefetcher::finishEvent(unsigned ppu, Tick finish)
     bool chained = false;
     for (unsigned r = 0; r < reps; ++r) {
         for (const auto &e : p.emits) {
-            bool is_chain = e.cbKernel != kNoKernel || e.tag >= 0;
-            if (cfg_.blocking && is_chain) {
+            // Blocked mode holds the unit on its chained requests, but
+            // only while it is still this event's (see below): once a
+            // drop here released it, the rest of the chain runs like an
+            // unblocked one.
+            const bool held = cfg_.blocking && p.releases == releases &&
+                              (e.cbKernel != kNoKernel || e.tag >= 0);
+            if (held) {
                 ++p.pendingFills;
                 chained = true;
             }
-            queueRequest(e, chain, cfg_.blocking && is_chain
-                                        ? static_cast<int>(ppu)
-                                        : -1);
+            queueRequest(e, chain, held ? static_cast<int>(ppu) : -1);
         }
     }
     stats_.prefetchesEmitted += p.emits.size() * reps;
@@ -409,6 +423,17 @@ ProgrammablePrefetcher::finishEvent(unsigned ppu, Tick finish)
 
     if (any && kick_)
         kick_();
+
+    // A drop, while queueing or in the kick, can settle the unit's last
+    // chained request at once, and notifyPrefetchDropped -> pumpBlocked
+    // then releases the unit, maybe handing it the next waiting
+    // observation.  Either way the unit is no longer this event's; a
+    // chain it queued still counts as a stall, if one of no length.
+    if (p.releases != releases) {
+        if (chained)
+            ++stats_.blockedStalls;
+        return;
+    }
 
     // The kick can deliver this unit's fills at once, and one may have
     // resumed it on a continuation (executing): it stays busy with that.
@@ -429,6 +454,7 @@ ProgrammablePrefetcher::releasePpu(unsigned ppu, Tick now)
     Ppu &p = ppus_[ppu];
     assert(p.busy);
     ppuStats_[ppu].busyTicks += now > p.lastAssign ? now - p.lastAssign : 0;
+    ++p.releases;
     p.busy = false;
     p.executing = false;
     p.pendingFills = 0;

@@ -141,12 +141,6 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
 
     std::uint64_t global(unsigned idx) const { return globals_.at(idx); }
 
-    /** Global registers handed out by allocGlobal() so far. */
-    unsigned globalsAllocated() const { return globalsAllocated_; }
-
-    /** The guest address space this prefetcher snoops (region map). */
-    const GuestMemory &guestMem() const { return mem_; }
-
     /** Hook to prod the hierarchy when new requests are queued. */
     void setKick(SmallFunction<void()> fn) { kick_ = std::move(fn); }
 
@@ -211,6 +205,9 @@ class ProgrammablePrefetcher : public MemoryListener, public PrefetchSource
         Ring<Observation> local;
         /** True while actually executing (vs. stalled). */
         bool executing = false;
+        /** Times the unit was released; finishEvent compares it across
+         *  the queueing and kick that can release the unit at once. */
+        std::uint64_t releases = 0;
         /** The observation this unit is running. */
         Observation obs;
         /** Prefetches its kernel emitted, queued when it finishes

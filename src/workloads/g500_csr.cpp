@@ -173,12 +173,7 @@ G500CsrWorkload::programManual(ProgrammablePrefetcher &ppf)
             .sub(4, 3, 2)     // edge count
             .li(5, 1)
             .bge(4, 5, clamp_lo)
-            // r4 = r5 / r5 = 1: same one-cycle effect as mov(4, 5),
-            // but a register-divisor div is a may-trap instruction
-            // until the value analysis proves r5 == 1 here — this is
-            // the shipped consumer of that proof (the decoder marks
-            // the pc trap-free; dataflow_test pins it).
-            .div(4, 5, 5)
+            .mov(4, 5)
             .bind(clamp_lo)
             .li(5, kMaxEdgeLines * 8)
             .blt(4, 5, clamp_hi)

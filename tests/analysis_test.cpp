@@ -225,33 +225,13 @@ TEST(AnalysisTest, LookaheadCheckedAgainstFilterCount)
 
 TEST(AnalysisTest, DynamicDivIsNotProvenTrapFree)
 {
-    // A divisor the value analysis cannot bound (vaddr under a default
-    // context) keeps the div a dynamic may-trap: no error, but no
-    // trap-free proof either.
+    // A register divisor is a may-trap instruction (zero, or the
+    // INT64_MIN / -1 pair): no error, but no trap-free proof either.
     KernelBuilder b("dyn");
     b.vaddr(1).vaddr(2).div(3, 1, 2).prefetch(3).halt();
     const auto ka = analysis::analyzeKernel(b.build());
     EXPECT_FALSE(ka.hasErrors()); // a *dynamic* trap is not an error
     EXPECT_FALSE(ka.provenTrapFree);
-    ASSERT_EQ(ka.trapFreePc.size(), 5u);
-    EXPECT_EQ(ka.trapFreePc[2], 0);
-}
-
-TEST(AnalysisTest, ConstantDivisorDivIsProvenTrapFree)
-{
-    // The instruction-local facts classified every register div as
-    // may-trap; the dataflow layer proves a [2, 2] divisor is neither
-    // 0 nor the INT64_MIN / -1 pair.
-    KernelBuilder b("constdiv");
-    b.li(1, 8).li(2, 2).div(3, 1, 2).prefetch(3).halt();
-    const auto ka = analysis::analyzeKernel(b.build());
-    EXPECT_FALSE(ka.hasErrors());
-    EXPECT_TRUE(ka.provenTrapFree);
-    ASSERT_EQ(ka.trapFreePc.size(), 5u);
-    EXPECT_EQ(ka.trapFreePc[2], 1);
-    // The constant quotient also makes the prefetch degenerate — the
-    // value warnings ride on the same facts.
-    EXPECT_TRUE(hasDiag(ka.diags, DiagCode::kDegeneratePrefetch, 3));
 }
 
 TEST(AnalysisTest, UnreachableTrapDoesNotBlockTrapFreeProof)
@@ -404,13 +384,17 @@ TEST(AnalysisTest, StrictTableAcceptsDynamicTrapsAndLocalCallbacks)
     // A kernel that *may* trap (div by a register) and one whose
     // callback id is not yet resolvable (the compiler registers with
     // local ids and patches them afterwards) must both pass: only
-    // *proven* misbehaviour is rejected at add().
+    // instruction-local guaranteed traps are rejected at add().
     KernelTable t;
     KernelBuilder dyn("dyn");
-    // The divisor must be genuinely dynamic: a literal zero divisor is
-    // now a proven guaranteed trap and is rejected at add().
     dyn.li(1, 1).vaddr(2).div(1, 1, 2).halt();
     EXPECT_NO_THROW(t.add(dyn.build()));
+    // A register divisor that is zero on every execution still only
+    // may trap by its own instruction: it installs and traps at run
+    // time.
+    KernelBuilder zero("zero");
+    zero.li(1, 1).li(2, 0).div(1, 1, 2).halt();
+    EXPECT_NO_THROW(t.add(zero.build()));
     KernelBuilder cb("cb");
     cb.vaddr(1).prefetchCb(1, 99).halt();
     EXPECT_NO_THROW(t.add(cb.build()));

@@ -9,28 +9,16 @@
  * disassemble() -> parseInstr() — and all three must (a) re-encode to
  * identical bytes and (b) execute with identical effects: exit reason,
  * cycle count, and the exact emitted prefetch sequence.
- *
- * Dataflow soundness oracle: every program is also run through the
- * abstract interpreter (analysis/dataflow.hpp) under a context that
- * states exactly the facts of the concrete event, then traced on the
- * reference interpreter — every concrete register value observed at
- * every step must lie inside the abstract value the analysis computed
- * for that pc, an executed pc must never be claimed infeasible, and an
- * instruction the analysis proved trap-free must never be the one that
- * traps.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
-#include <cstring>
 #include <iterator>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <vector>
 
-#include "isa/analysis/dataflow.hpp"
 #include "isa/analysis/verifier.hpp"
 #include "isa/builder.hpp"
 #include "isa/disasm.hpp"
@@ -366,110 +354,6 @@ checkAnalyzerAgrees(const Kernel &k, const EventContext &ctx,
     }
 }
 
-/** Does executing @p in with register state @p regs trap, concretely?
- *  (Mirrors the reference interpreter's trap predicates.) */
-bool
-concreteTraps(const Instr &in, const std::uint64_t *regs,
-              const EventContext &ctx)
-{
-    switch (in.op) {
-      case Opcode::kDiv:
-        return regs[in.rt] == 0 ||
-               (static_cast<std::int64_t>(regs[in.rt]) == -1 &&
-                static_cast<std::int64_t>(regs[in.rs]) ==
-                    std::numeric_limits<std::int64_t>::min());
-      case Opcode::kDivi:
-        return in.imm == 0 ||
-               (in.imm == -1 &&
-                static_cast<std::int64_t>(regs[in.rs]) ==
-                    std::numeric_limits<std::int64_t>::min());
-      case Opcode::kLdLine:
-      case Opcode::kLdLine32:
-        return !ctx.hasLine;
-      case Opcode::kGread:
-        return in.imm < 0 ||
-               in.imm >= static_cast<std::int64_t>(kGlobalRegs) ||
-               ctx.globalRegs == nullptr;
-      case Opcode::kLookahead:
-        return in.imm < 0 ||
-               in.imm >= static_cast<std::int64_t>(ctx.lookaheadEntries) ||
-               ctx.lookahead == nullptr;
-      default:
-        return false;
-    }
-}
-
-/**
- * Dataflow soundness oracle.  The analysis context states exactly the
- * concrete event's facts (line kind, lookahead count, global values,
- * the triggering vaddr as a point interval), so the abstract values
- * are as tight as the analysis can make them — and every one of them
- * must still contain what actually happens.
- */
-void
-checkDataflowSound(const std::vector<Instr> &code, const EventContext &ctx,
-                   const std::string &what)
-{
-    const Kernel k{"fuzz", code};
-    analysis::KernelContext actx;
-    actx.line = ctx.hasLine ? analysis::KernelContext::Line::kAlways
-                            : analysis::KernelContext::Line::kNever;
-    actx.globalsPresent = ctx.globalRegs != nullptr;
-    actx.lookaheadEntries = static_cast<int>(ctx.lookaheadEntries);
-    actx.vaddrLo = static_cast<std::int64_t>(ctx.vaddr);
-    actx.vaddrHi = actx.vaddrLo;
-    if (ctx.globalRegs != nullptr)
-        for (unsigned i = 0; i < kGlobalRegs; ++i)
-            actx.globalValues.push_back({i, ctx.globalRegs[i]});
-
-    const analysis::DataflowResult df = analysis::analyzeDataflow(k, actx);
-
-    // Collected as a string: a gtest ASSERT inside the step lambda
-    // could not abort the enclosing test.
-    std::string violation;
-    std::size_t lastPc = 0;
-    std::uint64_t lastRegs[kPpuRegs] = {};
-    bool stepped = false;
-    const ExecResult res = Interpreter::runTraced(
-        k, ctx, nullptr,
-        [&](std::size_t pc, const std::uint64_t *regs) {
-            lastPc = pc;
-            std::memcpy(lastRegs, regs, sizeof(lastRegs));
-            stepped = true;
-            if (!violation.empty() || pc >= df.in.size())
-                return;
-            const analysis::RegState &st = df.in[pc];
-            if (!st.feasible) {
-                violation = "executed pc " + std::to_string(pc) +
-                            " that the analysis claims is infeasible";
-                return;
-            }
-            for (unsigned r = 0; r < kPpuRegs; ++r)
-                if (!st.reg[r].contains(regs[r])) {
-                    violation = "r" + std::to_string(r) + " = " +
-                                std::to_string(regs[r]) +
-                                " escapes the abstract value at pc " +
-                                std::to_string(pc);
-                    return;
-                }
-        },
-        kFuzzSteps);
-
-    ASSERT_TRUE(violation.empty())
-        << what << ": " << violation << "\n" << disassemble(k);
-
-    // A trapped exit is either the last traced instruction trapping or
-    // the pc leaving [0, size) afterwards (the boundary trap, which
-    // never traces).  Only the former indicts a trap-free proof.
-    if (res.exit == ExitReason::kTrapped && stepped &&
-        concreteTraps(code[lastPc], lastRegs, ctx)) {
-        ASSERT_FALSE(df.provenTrapFree(lastPc))
-            << what << ": pc " << lastPc
-            << " trapped but the analysis proved it trap-free\n"
-            << disassemble(k);
-    }
-}
-
 void
 checkProgram(const std::vector<Instr> &code, const EventContext &ctx,
              const std::string &what)
@@ -493,7 +377,6 @@ checkProgram(const std::vector<Instr> &code, const EventContext &ctx,
         << disassemble(raw);
 
     checkAnalyzerAgrees(raw, ctx, fx_raw, what);
-    checkDataflowSound(code, ctx, what);
 }
 
 TEST(IsaFuzz, EveryOpcodeRoundTripsDeterministically)

@@ -544,7 +544,7 @@ TEST(PageTableTest, StableAndDistinct)
     EXPECT_NE(p1 >> kPageShift, p2 >> kPageShift);
 }
 
-TEST(TlbTest, HitAfterWalkAndFlush)
+TEST(TlbTest, HitAfterWalk)
 {
     EventQueue eq;
     GuestMemory gm;
@@ -568,14 +568,9 @@ TEST(TlbTest, HitAfterWalkAndFlush)
     tlb.translate(va + 8, [&](Addr pa, bool) { got2 = pa; });
     EXPECT_EQ(got2, got + 8);
     EXPECT_EQ(tlb.stats().l1Hits, 1u);
-
-    tlb.flush();
-    tlb.translate(va, [](Addr, bool) {});
-    eq.run();
-    EXPECT_EQ(tlb.stats().walks, 2u);
 }
 
-TEST(TlbTest, L1EvictsLeastRecentlyUsedAndRefillsAfterFlush)
+TEST(TlbTest, L1EvictsLeastRecentlyUsed)
 {
     EventQueue eq;
     GuestMemory gm;
@@ -605,13 +600,6 @@ TEST(TlbTest, L1EvictsLeastRecentlyUsedAndRefillsAfterFlush)
     EXPECT_EQ(tlb.stats().l1Hits, 5u);
     touch(1); // evicted from the L1, still in the L2
     EXPECT_EQ(tlb.stats().l1Hits, 5u);
-    EXPECT_EQ(tlb.stats().l2Hits, 1u);
-
-    tlb.flush();
-    touch(5);
-    EXPECT_EQ(tlb.stats().walks, 6u);
-    touch(5);
-    EXPECT_EQ(tlb.stats().l1Hits, 6u);
     EXPECT_EQ(tlb.stats().l2Hits, 1u);
 }
 
@@ -669,43 +657,6 @@ TEST(TlbTest, LookupRefreshesTheLowestSlotCopyOfADuplicateFill)
         EXPECT_EQ(tlb.stats().l1Hits, hits + (olderCopyLower ? 1 : 2));
         EXPECT_EQ(tlb.stats().l2Hits, olderCopyLower ? 2u : 1u);
     }
-}
-
-TEST(TlbTest, FlushLeavesNoL1Hit)
-{
-    EventQueue eq;
-    GuestMemory gm;
-    std::vector<std::uint64_t> buf(8 * kPageBytes / 8, 0); // 8 pages
-    Addr base = gm.addRegion("buf", buf.data(), buf.size() * 8);
-    PageTable pt(gm);
-    FakeParent walk_mem(eq, 50);
-    TlbParams tp;
-    tp.l1Entries = 4;
-    Tlb tlb(eq, tp, pt, walk_mem);
-    auto translate = [&](unsigned page) {
-        tlb.translate(base + page * kPageBytes,
-                      [](Addr, bool fault) { EXPECT_FALSE(fault); });
-    };
-
-    // Fills, evictions and a duplicate fill (two waiters on page 7).
-    for (unsigned page = 0; page < 7; ++page) {
-        translate(page);
-        eq.run();
-    }
-    translate(7);
-    translate(7);
-    eq.run();
-    translate(7);
-    ASSERT_EQ(tlb.stats().l1Hits, 1u);
-
-    tlb.flush();
-    // No translation may complete from the L1; without running the
-    // queue, none of the walks this starts can refill it either.
-    for (unsigned page = 0; page < 8; ++page)
-        translate(page);
-    EXPECT_EQ(tlb.stats().l1Hits, 1u);
-    eq.run();
-    EXPECT_EQ(tlb.stats().walks, 8u + 8u);
 }
 
 TEST(TlbTest, FaultReportedForUnmapped)

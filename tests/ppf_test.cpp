@@ -434,10 +434,10 @@ TEST_F(PpfTest, TrappingKernelCounted)
 {
     auto ppf = make();
     KernelBuilder b("trap");
-    // The divisor must be dynamic: a literal zero is now a proven
-    // guaranteed trap and strict add() rejects it.  Global 0 is never
-    // written in this test, so the gread yields 0 and the div traps at
-    // run time while the analyzer can only say "may trap".
+    // Strict add() rejects only instruction-local guaranteed traps
+    // (divi #0); a register divisor only may trap, so this kernel
+    // installs.  Global 0 is never written in this test, so the gread
+    // yields 0 and the div traps at run time.
     b.li(1, 1).gread(2, 0).div(1, 1, 2).halt();
     KernelId k = ppf->kernels().add(b.build());
     FilterEntry fe;
@@ -700,6 +700,164 @@ TEST_F(PpfTest, BlockedKickThatResumesTheUnitKeepsItBusy)
     for (const auto &r : drain(*ppf))
         targets.push_back(r.vaddr);
     EXPECT_EQ(targets, (std::vector<Addr>{0x9000, 0x9000, 0x8000, 0x8040}));
+}
+
+/**
+ * Blocked mode, re-entrant kick that drops: a continuation finishes
+ * while the unit's last other chained request is still queued, and the
+ * kick drops that request at once.  notifyPrefetchDropped ->
+ * pumpBlocked releases the unit inside the kick; the finishing event
+ * must not release it a second time.
+ */
+class PpfBlockedDropTest : public PpfTest
+{
+  protected:
+    /** Stall a unit on two chained requests, fill the first and drop
+     *  the second from the kick that the continuation's finish runs.
+     *  With @p waitingLoad, a second load waits in the observation
+     *  queue meanwhile. */
+    std::unique_ptr<ProgrammablePrefetcher>
+    runDropInKick(bool waitingLoad)
+    {
+        PpfConfig cfg;
+        cfg.numPpus = 1;
+        cfg.blocking = true;
+        auto ppf = make(cfg);
+
+        KernelBuilder cont("cont");
+        cont.li(1, 0x9000).prefetch(1).halt();
+        KernelId k_cont = ppf->kernels().add(cont.build());
+        KernelBuilder two("two");
+        two.li(1, 0x8000)
+            .prefetchCb(1, k_cont)
+            .li(1, 0x8040)
+            .prefetchCb(1, k_cont)
+            .halt();
+        KernelId k_two = ppf->kernels().add(two.build());
+        FilterEntry fe;
+        fe.base = base();
+        fe.limit = base() + 1024;
+        fe.onLoad = k_two;
+        ppf->addFilter(fe);
+
+        ppf->notifyDemand(base(), true, false, 0);
+        eq_.run();
+        const LineRequest first = ppf->popRequest();
+        if (waitingLoad)
+            ppf->notifyDemand(base() + 64, true, false, 0);
+
+        ProgrammablePrefetcher *raw = ppf.get();
+        bool armed = true;
+        ppf->setKick([raw, armed]() mutable {
+            if (!armed)
+                return;
+            armed = false;
+            raw->notifyPrefetchDropped(raw->popRequest());
+        });
+        ppf->notifyPrefetchFill(first);
+        eq_.run();
+        return ppf;
+    }
+};
+
+TEST_F(PpfBlockedDropTest, KickThatDropsTheLastChainedRequestReleasesOnce)
+{
+    const auto ppf = runDropInKick(false);
+
+    EXPECT_EQ(ppf->stats().eventsRun, 2u);
+    // Busy from the load's dispatch at tick 0 to the continuation's
+    // finish, which is the last event of the run.
+    EXPECT_EQ(ppf->ppuStats()[0].busyTicks, eq_.now());
+    EXPECT_EQ(ppf->stats().blockedStalls, 1u); // the first event only
+
+    // The unit is free: the next load runs on it.
+    ppf->notifyDemand(base() + 64, true, false, 0);
+    eq_.run();
+    EXPECT_EQ(ppf->stats().eventsRun, 3u);
+}
+
+TEST_F(PpfBlockedDropTest, KickThatDropsTheLastChainedRequestCountsNoStall)
+{
+    // The release inside the kick hands the unit the waiting load, so
+    // the unit is executing again when the continuation's finish
+    // resumes; that is the load's run, not a stall of the finished
+    // event.
+    const auto ppf = runDropInKick(true);
+
+    EXPECT_EQ(ppf->stats().eventsRun, 3u);
+    // The two events of "two" stall, each on its own chained requests.
+    EXPECT_EQ(ppf->stats().blockedStalls, 2u);
+    std::vector<Addr> targets;
+    for (const auto &r : drain(*ppf))
+        targets.push_back(r.vaddr);
+    EXPECT_EQ(targets, (std::vector<Addr>{0x9000, 0x8000, 0x8040}));
+}
+
+/**
+ * Blocked mode, release mid-emit: a continuation's plain prefetch
+ * overflows the request queue and drops the unit's last other chained
+ * request, which releases the unit before the continuation's own
+ * chained prefetch is queued.  That prefetch must not hold the released
+ * unit: if it did, the next event on the unit would wait for a fill
+ * that is routed elsewhere, and the unit would never be free again.
+ */
+TEST_F(PpfTest, BlockedOverflowThatReleasesTheUnitMidEmitFreesIt)
+{
+    PpfConfig cfg;
+    cfg.numPpus = 1;
+    cfg.blocking = true;
+    cfg.reqQueueCapacity = 2;
+    auto ppf = make(cfg);
+
+    KernelBuilder leaf("leaf");
+    leaf.halt();
+    KernelId k_leaf = ppf->kernels().add(leaf.build());
+    KernelBuilder mix("mix");
+    mix.li(1, 0x9000)
+        .prefetch(1)
+        .li(1, 0x9040)
+        .prefetch(1)
+        .li(1, static_cast<std::int64_t>(base() + 2048))
+        .prefetchCb(1, k_leaf)
+        .halt();
+    KernelId k_mix = ppf->kernels().add(mix.build());
+    // Chained targets inside the data region, so their fills carry line
+    // data and run their kernels.
+    KernelBuilder two("two");
+    two.li(1, static_cast<std::int64_t>(base() + 1024))
+        .prefetchCb(1, k_mix)
+        .li(1, static_cast<std::int64_t>(base() + 1088))
+        .prefetchCb(1, k_mix)
+        .halt();
+    KernelId k_two = ppf->kernels().add(two.build());
+    FilterEntry fe;
+    fe.base = base();
+    fe.limit = base() + 1024;
+    fe.onLoad = k_two;
+    ppf->addFilter(fe);
+
+    ppf->notifyDemand(base(), true, false, 0);
+    eq_.run();
+    ppf->notifyPrefetchFill(ppf->popRequest());
+    eq_.run();
+    // "mix" ran on the first fill; its plain prefetches dropped the
+    // second chained request and then the first plain one.
+    EXPECT_EQ(ppf->stats().reqDropped, 2u);
+    EXPECT_EQ(ppf->stats().blockedStalls, 1u);
+
+    std::vector<Addr> targets;
+    for (const LineRequest &r : drain(*ppf)) {
+        targets.push_back(r.vaddr);
+        EXPECT_EQ(r.originPpu, -1);
+        ppf->notifyPrefetchFill(r);
+        eq_.run();
+    }
+    EXPECT_EQ(targets, (std::vector<Addr>{0x9040, base() + 2048}));
+    EXPECT_EQ(ppf->stats().eventsRun, 3u); // two, mix, leaf
+
+    ppf->notifyDemand(base() + 64, true, false, 0);
+    eq_.run();
+    EXPECT_EQ(ppf->stats().eventsRun, 4u);
 }
 
 TEST_F(PpfTest, ActivityAccounting)
