@@ -52,14 +52,14 @@ Cfg::Cfg(const std::vector<Instr> &code,
         }
     }
 
-    blockOf_.assign(size, 0);
+    std::vector<std::uint32_t> blockOf(size, 0);
     for (std::uint32_t i = 0; i < size; ++i) {
         if (leader[i]) {
             Block b;
             b.first = i;
             blocks_.push_back(b);
         }
-        blockOf_[i] = static_cast<std::uint32_t>(blocks_.size() - 1);
+        blockOf[i] = static_cast<std::uint32_t>(blocks_.size() - 1);
         blocks_.back().last = i;
     }
 
@@ -74,12 +74,11 @@ Cfg::Cfg(const std::vector<Instr> &code,
             b.exit = BlockExit::kHalt;
             continue;
         }
+        // A target outside the code is the pc-bounds trap: no edge.
         auto edge = [&](std::int64_t target) {
             if (target >= 0 && target < static_cast<std::int64_t>(size))
                 b.succs.push_back(
-                    blockOf_[static_cast<std::uint32_t>(target)]);
-            else
-                b.toBoundary = true;
+                    blockOf[static_cast<std::uint32_t>(target)]);
         };
         if (in.op == Opcode::kJmp) {
             edge(branchTarget(in, b.last));

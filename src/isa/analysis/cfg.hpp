@@ -4,12 +4,12 @@
  *
  * Basic blocks are maximal straight-line instruction runs; block
  * terminators are branches, jumps, halts and statically-proven traps.
- * Edges out of the code range (a wild branch target, or falling past
- * the last instruction) go to a synthetic *boundary* exit — exactly the
- * pc-bounds trap of the interpreter.
+ * An edge out of the code range (a wild branch target, or falling past
+ * the last instruction) is the interpreter's pc-bounds trap and gets no
+ * successor.
  *
  * The CFG is the substrate every verifier pass runs on (reachability,
- * def-use dataflow, cost bounds).
+ * loop detection, def-use dataflow).
  */
 
 #ifndef EPF_ISA_ANALYSIS_CFG_HPP
@@ -42,13 +42,8 @@ struct Block
     BlockExit exit = BlockExit::kFlows;
     /** Successor block ids (fall-through first, then taken target). */
     std::vector<std::uint32_t> succs;
-    /** True when some exit of this block leaves [0, size): the pc
-     *  bounds trap (fall-off-the-end or wild branch target). */
-    bool toBoundary = false;
     /** Reachable from the entry block. */
     bool reachable = false;
-
-    std::uint32_t length() const { return last - first + 1; }
 };
 
 /** The control-flow graph of one kernel. */
@@ -64,8 +59,6 @@ class Cfg
                  const std::vector<std::uint8_t> &trapAt = {});
 
     const std::vector<Block> &blocks() const { return blocks_; }
-    /** Block id containing instruction @p pc. */
-    std::uint32_t blockOf(std::uint32_t pc) const { return blockOf_[pc]; }
     /** True when no cycle is reachable from the entry. */
     bool acyclic() const { return acyclic_; }
     /** Reachable blocks in reverse postorder (entry first). */
@@ -81,7 +74,6 @@ class Cfg
 
   private:
     std::vector<Block> blocks_;
-    std::vector<std::uint32_t> blockOf_;
     std::vector<std::vector<std::uint32_t>> preds_;
     std::vector<std::uint32_t> rpo_;
     bool acyclic_ = true;

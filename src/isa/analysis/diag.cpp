@@ -11,10 +11,10 @@ diagCodeName(DiagCode code)
       case DiagCode::kFallOffEnd: return "fall-off-end";
       case DiagCode::kEmptyKernel: return "empty-kernel";
       case DiagCode::kUnreachableCode: return "unreachable-code";
+      case DiagCode::kWatchdogLoop: return "watchdog-loop";
       case DiagCode::kUninitRead: return "uninit-read";
       case DiagCode::kDeadAssignment: return "dead-assignment";
       case DiagCode::kGuaranteedTrap: return "guaranteed-trap";
-      case DiagCode::kWatchdogLoop: return "watchdog-loop";
       case DiagCode::kUnresolvedCallback: return "unresolved-callback";
       case DiagCode::kCallbackCycle: return "callback-cycle";
       case DiagCode::kCodeBudgetExceeded: return "code-budget-exceeded";

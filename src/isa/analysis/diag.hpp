@@ -39,6 +39,9 @@ enum class DiagCode
     kEmptyKernel,
     /** Instruction can never execute on any path from entry. */
     kUnreachableCode,
+    /** The CFG contains a cycle: worst-case execution is bounded only
+     *  by the kMaxKernelSteps watchdog, not by the code itself. */
+    kWatchdogLoop,
 
     // ---- dataflow ---------------------------------------------------
     /** A register is read before any definition on some path (the
@@ -54,11 +57,6 @@ enum class DiagCode
      *  (divi #0, out-of-range gread/lookahead index, ldline on an
      *  event kind known to carry no line data). */
     kGuaranteedTrap,
-
-    // ---- cost bounds ------------------------------------------------
-    /** The CFG contains a cycle: worst-case execution is bounded only
-     *  by the kMaxKernelSteps watchdog, not by the code itself. */
-    kWatchdogLoop,
 
     // ---- KernelTable-wide checks -----------------------------------
     /** prefetch.cb names a kernel id the table cannot resolve. */

@@ -77,13 +77,6 @@ useDef(const Instr &in)
     return {}; // out-of-enum opcode byte: runs as a no-op
 }
 
-bool
-isEmit(Opcode op)
-{
-    return op == Opcode::kPrefetch || op == Opcode::kPrefetchTag ||
-           op == Opcode::kPrefetchCb;
-}
-
 std::string
 trapWhy(const Instr &in, const KernelContext &ctx)
 {
@@ -160,42 +153,6 @@ alwaysTraps(const Instr &in, const KernelContext &ctx)
     }
 }
 
-bool
-mayTrap(const Instr &in, const KernelContext &ctx)
-{
-    if (alwaysTraps(in, ctx))
-        return true;
-    switch (in.op) {
-      case Opcode::kDiv:
-        return true; // register divisor: zero or INT64_MIN / -1
-      case Opcode::kDivi:
-        return in.imm == -1; // INT64_MIN / -1 overflow
-      case Opcode::kLdLine:
-      case Opcode::kLdLine32:
-        return ctx.line != KernelContext::Line::kAlways;
-      case Opcode::kGread:
-        return !ctx.globalsPresent;
-      case Opcode::kLookahead:
-        return ctx.lookaheadEntries < 0; // installed count unknown
-      default:
-        return false;
-    }
-}
-
-std::vector<BlockWeight>
-blockWeights(const Cfg &cfg, const std::vector<Instr> &code)
-{
-    std::vector<BlockWeight> out(cfg.size());
-    for (std::size_t b = 0; b < cfg.size(); ++b) {
-        const Block &blk = cfg.blocks()[b];
-        out[b].cycles = blk.length(); // 1 cycle per executed instruction
-        for (std::uint32_t pc = blk.first; pc <= blk.last; ++pc)
-            if (isEmit(code[pc].op))
-                ++out[b].emits;
-    }
-    return out;
-}
-
 KernelAnalysis
 analyzeKernel(const Kernel &k, const KernelContext &ctx)
 {
@@ -207,13 +164,12 @@ analyzeKernel(const Kernel &k, const KernelContext &ctx)
         out.diags.push_back({Severity::kError, kNoPc, DiagCode::kEmptyKernel,
                              "kernel has no instructions; any event traps "
                              "immediately"});
-        out.acyclic = true;
         return out;
     }
 
     // Static trap facts first: proven-trapping instructions terminate
     // their block, so the CFG (and everything downstream — reachability,
-    // dataflow, cost) models execution stopping there.
+    // loops, dataflow) models execution stopping there.
     std::vector<std::uint8_t> trapAt(size, 0);
     for (std::uint32_t pc = 0; pc < size; ++pc)
         trapAt[pc] = alwaysTraps(code[pc], ctx) ? 1 : 0;
@@ -227,12 +183,9 @@ analyzeKernel(const Kernel &k, const KernelContext &ctx)
                 out.reachablePc[pc] = 1;
 
     // ---- control-flow validity --------------------------------------
-    bool boundaryReachable = false;
     for (const Block &b : cfg.blocks()) {
         if (!b.reachable)
             continue;
-        if (b.toBoundary)
-            boundaryReachable = true;
         const Instr &last = code[b.last];
         if (b.exit != BlockExit::kFlows)
             continue;
@@ -266,23 +219,21 @@ analyzeKernel(const Kernel &k, const KernelContext &ctx)
                              DiagCode::kUnreachableCode,
                              range + " unreachable from the entry"});
     }
+    if (!cfg.acyclic())
+        out.diags.push_back(
+            {Severity::kWarning, kNoPc, DiagCode::kWatchdogLoop,
+             "control flow contains a cycle; worst case is bounded only "
+             "by the " +
+                 std::to_string(kMaxKernelSteps) + "-step watchdog"});
 
     // ---- static trap proofs -----------------------------------------
     // Instruction-local facts only: a reachable always-trapping
-    // instruction is an error, and any reachable may-trap instruction
-    // (or a reachable exit past the code) denies the trap-free proof.
-    bool reachableMayTrap = false;
-    for (std::uint32_t pc = 0; pc < size; ++pc) {
-        if (!out.reachablePc[pc])
-            continue;
-        if (trapAt[pc] != 0)
+    // instruction is an error.
+    for (std::uint32_t pc = 0; pc < size; ++pc)
+        if (out.reachablePc[pc] && trapAt[pc] != 0)
             out.diags.push_back({Severity::kError, static_cast<int>(pc),
                                  DiagCode::kGuaranteedTrap,
                                  trapWhy(code[pc], ctx)});
-        if (mayTrap(code[pc], ctx))
-            reachableMayTrap = true;
-    }
-    out.provenTrapFree = !boundaryReachable && !reachableMayTrap;
 
     // ---- dead assignments (backward liveness) -----------------------
     // A def no path reads before overwrite or exit.  The instruction
@@ -386,39 +337,6 @@ analyzeKernel(const Kernel &k, const KernelContext &ctx)
                 reported[pc] |= bad;
                 assigned |= ud.defs;
             }
-        }
-    }
-
-    // ---- cost bounds -------------------------------------------------
-    out.acyclic = cfg.acyclic();
-    if (!out.acyclic) {
-        out.diags.push_back(
-            {Severity::kWarning, kNoPc, DiagCode::kWatchdogLoop,
-             "control flow contains a cycle; worst case is bounded only "
-             "by the " +
-                 std::to_string(kMaxKernelSteps) + "-step watchdog"});
-        out.maxCycles = kMaxKernelSteps;
-        out.maxEmits = kMaxKernelSteps; // at most one emit per cycle
-    } else {
-        // Longest path over the DAG in reverse postorder, with the
-        // per-block weights (blockWeights) as edge costs.  The two
-        // maxima are taken over independent paths; each is attained by
-        // a real CFG path.
-        const std::size_t nb = cfg.size();
-        const std::vector<BlockWeight> w = blockWeights(cfg, code);
-        std::vector<std::uint32_t> cyc(nb, 0);
-        std::vector<std::uint32_t> emit(nb, 0);
-        for (std::uint32_t b : cfg.rpo()) {
-            std::uint32_t bestC = 0;
-            std::uint32_t bestE = 0;
-            for (std::uint32_t p : cfg.preds(b)) {
-                bestC = std::max(bestC, cyc[p]);
-                bestE = std::max(bestE, emit[p]);
-            }
-            cyc[b] = bestC + w[b].cycles;
-            emit[b] = bestE + w[b].emits;
-            out.maxCycles = std::max(out.maxCycles, cyc[b]);
-            out.maxEmits = std::max(out.maxEmits, emit[b]);
         }
     }
 

@@ -48,7 +48,6 @@ contextFromRoles(const ProgrammablePrefetcher &ppf, const Roles &r)
     else if (r.fill && !r.demand)
         ctx.line = KernelContext::Line::kAlways;
     // both, or not referenced at all: stay kUnknown
-    ctx.globalsPresent = true; // the PPF always wires its global file
     ctx.lookaheadEntries = static_cast<int>(ppf.filters().size());
     return ctx;
 }

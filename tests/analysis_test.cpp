@@ -1,8 +1,8 @@
 /**
  * @file
  * Directed tests for the kernel static analyzer (src/isa/analysis):
- * seeded defects must be detected, clean kernels must prove clean, the
- * cost bounds must be exact on acyclic kernels, and the strict
+ * seeded defects must be detected, clean kernels must prove clean,
+ * loops must be classified as watchdog-bounded, and the strict
  * KernelTable gate must reject malformed kernels at registration.
  */
 
@@ -52,7 +52,6 @@ TEST(AnalysisTest, CleanKernelHasNoDiags)
     const auto ka = analysis::analyzeKernel(b.build());
     EXPECT_TRUE(ka.diags.empty());
     EXPECT_FALSE(ka.hasErrors());
-    EXPECT_TRUE(ka.acyclic);
 }
 
 TEST(AnalysisTest, DetectsBadBranchTarget)
@@ -64,7 +63,6 @@ TEST(AnalysisTest, DetectsBadBranchTarget)
                    Instr{Opcode::kHalt, 0, 0, 0, 0}}));
     EXPECT_TRUE(ka.hasErrors());
     EXPECT_TRUE(hasDiag(ka.diags, DiagCode::kBadBranchTarget, 1));
-    EXPECT_FALSE(ka.provenTrapFree);
     // The instruction after the wild jmp never executes.
     EXPECT_TRUE(hasDiag(ka.diags, DiagCode::kUnreachableCode, 2));
 }
@@ -76,7 +74,6 @@ TEST(AnalysisTest, DetectsFallOffEnd)
                    Instr{Opcode::kPrefetch, 0, 1, 0, 0}}));
     EXPECT_TRUE(ka.hasErrors());
     EXPECT_TRUE(hasDiag(ka.diags, DiagCode::kFallOffEnd, 1));
-    EXPECT_FALSE(ka.provenTrapFree);
 }
 
 TEST(AnalysisTest, ConditionalBranchAtEndFallsOffOnNotTakenPath)
@@ -197,12 +194,10 @@ TEST(AnalysisTest, LdLineTrapsOnNoLineEvents)
     fill.line = KernelContext::Line::kAlways;
     const auto onFill = analysis::analyzeKernel(k, fill);
     EXPECT_FALSE(hasDiag(onFill.diags, DiagCode::kGuaranteedTrap));
-    EXPECT_TRUE(onFill.provenTrapFree);
 
     // Unknown trigger kind: may trap, so no proof either way.
     const auto unknown = analysis::analyzeKernel(k);
     EXPECT_FALSE(hasDiag(unknown.diags, DiagCode::kGuaranteedTrap));
-    EXPECT_FALSE(unknown.provenTrapFree);
 }
 
 TEST(AnalysisTest, LookaheadCheckedAgainstFilterCount)
@@ -220,67 +215,21 @@ TEST(AnalysisTest, LookaheadCheckedAgainstFilterCount)
     four.lookaheadEntries = 4;
     const auto ok = analysis::analyzeKernel(k, four);
     EXPECT_FALSE(hasDiag(ok.diags, DiagCode::kGuaranteedTrap));
-    EXPECT_TRUE(ok.provenTrapFree);
 }
 
-TEST(AnalysisTest, DynamicDivIsNotProvenTrapFree)
-{
-    // A register divisor is a may-trap instruction (zero, or the
-    // INT64_MIN / -1 pair): no error, but no trap-free proof either.
-    KernelBuilder b("dyn");
-    b.vaddr(1).vaddr(2).div(3, 1, 2).prefetch(3).halt();
-    const auto ka = analysis::analyzeKernel(b.build());
-    EXPECT_FALSE(ka.hasErrors()); // a *dynamic* trap is not an error
-    EXPECT_FALSE(ka.provenTrapFree);
-}
-
-TEST(AnalysisTest, UnreachableTrapDoesNotBlockTrapFreeProof)
+TEST(AnalysisTest, UnreachableTrapIsNotAnError)
 {
     KernelBuilder b("deadtrap");
     auto end = b.newLabel();
     b.li(1, 1).jmp(end).divi(2, 1, 0).bind(end).prefetch(1).halt();
     const auto ka = analysis::analyzeKernel(b.build());
     EXPECT_FALSE(ka.hasErrors());
-    EXPECT_TRUE(ka.provenTrapFree);
     EXPECT_TRUE(hasDiag(ka.diags, DiagCode::kUnreachableCode, 2));
 }
 
 // ---------------------------------------------------------------------
-// Cost bounds
+// Watchdog classification
 // ---------------------------------------------------------------------
-
-TEST(AnalysisTest, StraightLineCostIsExact)
-{
-    KernelBuilder b("line");
-    b.vaddr(1).addi(2, 1, 64).prefetch(2).prefetch(1).halt();
-    const auto ka = analysis::analyzeKernel(b.build());
-    ASSERT_TRUE(ka.acyclic);
-    EXPECT_EQ(ka.maxCycles, 5u);
-    EXPECT_EQ(ka.maxEmits, 2u);
-}
-
-TEST(AnalysisTest, BranchyCostIsLongestPath)
-{
-    //  0 vaddr r1         both paths
-    //  1 beq r1,r2 -> 4   taken: 3 cycles total, 0 emits
-    //  2 prefetch r1      fall-through: 4 cycles total, 1 emit
-    //  3 halt
-    //  4 halt
-    KernelBuilder b("branchy");
-    auto l = b.newLabel();
-    b.vaddr(1).beq(1, 2, l).prefetch(1).halt().bind(l).halt();
-    const auto ka = analysis::analyzeKernel(b.build());
-    ASSERT_TRUE(ka.acyclic);
-    EXPECT_EQ(ka.maxCycles, 4u);
-    EXPECT_EQ(ka.maxEmits, 1u);
-    // The bound is attained: run the fall-through path.
-    EventContext ctx;
-    ctx.vaddr = 5; // r1 = 5 != r2 = 0, branch not taken
-    std::vector<PrefetchEmit> emits;
-    const ExecResult res = Interpreter::run(b.build(), ctx, &emits);
-    EXPECT_EQ(res.cycles, ka.maxCycles);
-    EXPECT_EQ(emits.size(), ka.maxEmits);
-}
 
 TEST(AnalysisTest, LoopClassifiedAsWatchdogBounded)
 {
@@ -288,15 +237,13 @@ TEST(AnalysisTest, LoopClassifiedAsWatchdogBounded)
     auto top = b.newLabel();
     b.li(1, 0).bind(top).addi(1, 1, 1).jmp(top);
     const auto ka = analysis::analyzeKernel(b.build());
-    EXPECT_FALSE(ka.acyclic);
     EXPECT_TRUE(hasDiag(ka.diags, DiagCode::kWatchdogLoop));
     EXPECT_FALSE(ka.hasErrors()); // loops are legal, just unbounded
-    EXPECT_EQ(ka.maxCycles, kMaxKernelSteps);
 
     EventContext ctx;
     const ExecResult res = Interpreter::run(b.build(), ctx, nullptr);
     EXPECT_EQ(res.exit, ExitReason::kStepLimit);
-    EXPECT_EQ(res.cycles, ka.maxCycles);
+    EXPECT_EQ(res.cycles, kMaxKernelSteps);
 }
 
 // ---------------------------------------------------------------------

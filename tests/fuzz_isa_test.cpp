@@ -317,11 +317,12 @@ fuzzContext(Rng &rng, const std::vector<std::uint64_t> &globals,
 }
 
 /**
- * Static-analyzer cross-validation: the verifier's claims must never
- * contradict what actually happens when the program runs.  The analysis
- * context mirrors what is knowable about @p ctx — the event's line kind
- * and the lookahead entry count — so trap-free proofs are as strong as
- * the analyzer can make them.
+ * Static-analyzer cross-validation: an acyclic kernel executes at most
+ * code.size() < kFuzzSteps instructions, so a kernel the verifier does
+ * not flag with a watchdog-loop warning must never end on the step
+ * limit.  The analysis context mirrors what is knowable about @p ctx —
+ * the event's line kind and the lookahead entry count — since proven
+ * traps cut the CFG and can break a cycle.
  */
 void
 checkAnalyzerAgrees(const Kernel &k, const EventContext &ctx,
@@ -333,23 +334,14 @@ checkAnalyzerAgrees(const Kernel &k, const EventContext &ctx,
     actx.lookaheadEntries = static_cast<int>(ctx.lookaheadEntries);
     const analysis::KernelAnalysis ka = analysis::analyzeKernel(k, actx);
 
-    ASSERT_LE(fx.cycles, ka.maxCycles)
-        << what << ": observed cycles exceed the static bound\n"
-        << disassemble(k);
-    ASSERT_LE(fx.emitted, ka.maxEmits)
-        << what << ": observed emits exceed the static bound\n"
-        << disassemble(k);
-    if (ka.provenTrapFree) {
-        ASSERT_NE(fx.exit, ExitReason::kTrapped)
-            << what << ": kernel proven trap-free trapped\n"
-            << disassemble(k);
-    }
-    // An acyclic kernel can execute at most code.size() < kFuzzSteps
-    // instructions, so only a kernel with a CFG cycle can hit the
-    // step limit.
-    if (ka.acyclic) {
+    bool watchdogLoop = false;
+    for (const analysis::Diag &d : ka.diags)
+        watchdogLoop = watchdogLoop ||
+                       d.code == analysis::DiagCode::kWatchdogLoop;
+    if (!watchdogLoop) {
         ASSERT_NE(fx.exit, ExitReason::kStepLimit)
-            << what << ": acyclic kernel hit the watchdog\n"
+            << what << ": kernel without a watchdog-loop warning hit the "
+            << "step limit\n"
             << disassemble(k);
     }
 }

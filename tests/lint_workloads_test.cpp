@@ -111,10 +111,6 @@ TEST(LintWorkloads, CompilerProgramsLintClean)
                 EXPECT_EQ(pv.diagCount(), 0u)
                     << name << ": generated code must be warning-free\n"
                     << pv.format(res.program);
-                for (const analysis::KernelAnalysis &ka : pv.kernels) {
-                    EXPECT_TRUE(ka.acyclic);
-                    EXPECT_LE(ka.maxCycles, kMaxKernelSteps);
-                }
             }
         }
     }
