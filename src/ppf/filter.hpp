@@ -12,7 +12,6 @@
 #ifndef EPF_PPF_FILTER_HPP
 #define EPF_PPF_FILTER_HPP
 
-#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -50,20 +49,15 @@ struct FilterEntry
 };
 
 /**
- * The filter table: a small array of configured ranges.
- *
- * match() runs on every snooped core read, so lookups go through a
- * sorted interval index instead of a linear scan: spans are kept sorted
- * by base with a running maximum of limits, so a query binary-searches
- * to the last candidate and walks left only while an interval could
- * still cover the address.  Matches are reported in insertion order
- * (the order kernels were configured in), exactly as the linear scan
- * did.
+ * The filter table: a small array of configured ranges, matched by a
+ * linear scan in insertion order (the order kernels were configured
+ * in).  Every shipped or compiled program installs a handful of
+ * entries.
  */
 class FilterTable
 {
   public:
-    /** Hardware-table bound; also sizes match()'s stack buffer. */
+    /** Hardware-table bound. */
     static constexpr std::size_t kMaxEntries = 64;
 
     /** Add an entry; returns its index (used by lookahead kernels).
@@ -75,14 +69,7 @@ class FilterTable
             throw std::invalid_argument(
                 "filter table exceeds its hardware bound of 64 entries");
         entries_.push_back(e);
-        const int idx = static_cast<int>(entries_.size() - 1);
-        spans_.insert(std::upper_bound(spans_.begin(), spans_.end(), e.base,
-                                       [](Addr base, const Span &s) {
-                                           return base < s.base;
-                                       }),
-                      Span{e.base, e.limit, idx});
-        rebuildPrefixMax();
-        return idx;
+        return static_cast<int>(entries_.size() - 1);
     }
 
     /** Visit every entry containing @p a, in insertion order. */
@@ -90,30 +77,9 @@ class FilterTable
     void
     match(Addr a, Fn &&fn) const
     {
-        if (spans_.empty())
-            return;
-        // First span with base > a: everything at or after it starts
-        // past the address and can never contain it.
-        std::size_t lo = 0, hi = spans_.size();
-        while (lo < hi) {
-            const std::size_t mid = (lo + hi) / 2;
-            if (spans_[mid].base <= a)
-                lo = mid + 1;
-            else
-                hi = mid;
-        }
-        int matched[kMaxEntries];
-        std::size_t n = 0;
-        for (std::size_t i = lo; i-- > 0;) {
-            // No span in [0, i] reaches past a: stop.
-            if (prefixMaxLimit_[i] <= a)
-                break;
-            if (spans_[i].limit > a)
-                matched[n++] = spans_[i].idx;
-        }
-        std::sort(matched, matched + n);
-        for (std::size_t i = 0; i < n; ++i)
-            fn(matched[i], entries_[static_cast<std::size_t>(matched[i])]);
+        for (std::size_t i = 0; i < entries_.size(); ++i)
+            if (entries_[i].contains(a))
+                fn(static_cast<int>(i), entries_[i]);
     }
 
     const FilterEntry &operator[](int idx) const { return entries_.at(static_cast<std::size_t>(idx)); }
@@ -121,29 +87,7 @@ class FilterTable
     std::size_t size() const { return entries_.size(); }
 
   private:
-    struct Span
-    {
-        Addr base;
-        Addr limit;
-        int idx;
-    };
-
-    void
-    rebuildPrefixMax()
-    {
-        prefixMaxLimit_.resize(spans_.size());
-        Addr running = 0;
-        for (std::size_t i = 0; i < spans_.size(); ++i) {
-            running = std::max(running, spans_[i].limit);
-            prefixMaxLimit_[i] = running;
-        }
-    }
-
     std::vector<FilterEntry> entries_;
-    /** Entry intervals sorted by base address. */
-    std::vector<Span> spans_;
-    /** prefixMaxLimit_[i] = max limit over spans_[0..i]. */
-    std::vector<Addr> prefixMaxLimit_;
 };
 
 } // namespace epf

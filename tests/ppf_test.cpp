@@ -133,11 +133,10 @@ TEST(FilterTableTest, OverlappingRangesBothMatch)
 }
 
 /**
- * Reference oracle for FilterTable::match: the plain linear scan the
- * interval index replaced.  Matches must be identical — same entries,
- * same (insertion) order — at every table size, in particular around
- * the 64-entry bound where the implementation switches from the
- * interval index to the fallback linear scan.
+ * Reference oracle for FilterTable::match: a plain linear scan over the
+ * entries as configured.  Matches must be identical — same entries,
+ * same (insertion) order — at every table size up to the 64-entry
+ * hardware bound.
  */
 std::vector<int>
 linearMatches(const std::vector<FilterEntry> &entries, Addr a)
@@ -180,7 +179,7 @@ class FilterTableBoundary : public ::testing::TestWithParam<std::size_t>
 
 TEST_P(FilterTableBoundary, MatchesLinearOracleInInsertionOrder)
 {
-    const std::size_t n = GetParam(); // 63 / 64 sit each side of the bound
+    const std::size_t n = GetParam(); // 64 is the hardware bound
     ASSERT_LE(n, FilterTable::kMaxEntries);
     const auto entries = boundaryEntries(n);
     FilterTable ft;
@@ -225,8 +224,8 @@ TEST(FilterTableBoundary65, OversizedAddThrows)
 
 TEST(FilterTableTest, InsertionOrderPreservedUnderReversedBases)
 {
-    // Entries inserted with descending bases: the index sorts by base,
-    // but callbacks must still arrive in insertion order.
+    // Entries inserted with descending bases: callbacks arrive in
+    // insertion order, not in address order.
     FilterTable ft;
     std::vector<FilterEntry> entries;
     for (int i = 0; i < 8; ++i) {
