@@ -11,7 +11,7 @@
 #ifndef EPF_PPF_EWMA_HPP
 #define EPF_PPF_EWMA_HPP
 
-#include <cassert>
+#include <algorithm>
 #include <cstdint>
 
 #include "sim/types.hpp"
@@ -19,16 +19,11 @@
 namespace epf
 {
 
-/** One EWMA accumulator with a power-of-two smoothing factor. */
+/** One EWMA accumulator with alpha = 1 / 2^kShift = 1/8. */
 class Ewma
 {
   public:
-    /** @param shift smoothing: alpha = 1 / 2^shift.  Must be > 0 (a
-     *  shift of 0 is no average at all, and breaks the rounding term). */
-    explicit Ewma(unsigned shift = 3) : shift_(shift)
-    {
-        assert(shift_ > 0 && "Ewma shift must be positive");
-    }
+    static constexpr unsigned kShift = 3;
 
     /** Feed one sample. */
     void
@@ -39,20 +34,17 @@ class Ewma
             seeded_ = true;
             return;
         }
-        // value += round((x - value) / 2^shift), in signed arithmetic.
+        // value += round((x - value) / 2^kShift), in signed arithmetic.
         // The arithmetic shift alone rounds toward -inf, which biases
         // the average downward: under oscillating input, small negative
         // deltas step down while equally small positive deltas truncate
         // to zero.  Adding half the divisor first gives round-to-nearest
-        // and keeps the equilibrium at the input mean.  (The shift_ == 0
-        // branch keeps release builds — where the ctor assert compiles
-        // out — well-defined: a zero shift divides by one, no rounding.)
-        std::int64_t delta = static_cast<std::int64_t>(x) -
-                             static_cast<std::int64_t>(value_);
-        std::int64_t half =
-            shift_ > 0 ? std::int64_t{1} << (shift_ - 1) : 0;
+        // and keeps the equilibrium at the input mean.
+        constexpr std::int64_t kHalf = std::int64_t{1} << (kShift - 1);
+        const std::int64_t delta = static_cast<std::int64_t>(x) -
+                                   static_cast<std::int64_t>(value_);
         value_ = static_cast<std::uint64_t>(
-            static_cast<std::int64_t>(value_) + ((delta + half) >> shift_));
+            static_cast<std::int64_t>(value_) + ((delta + kHalf) >> kShift));
     }
 
     /** Current average (0 until the first sample). */
@@ -62,7 +54,6 @@ class Ewma
     bool seeded() const { return seeded_; }
 
   private:
-    unsigned shift_;
     std::uint64_t value_ = 0;
     bool seeded_ = false;
 };
@@ -75,23 +66,15 @@ class Ewma
 class LookaheadCalculator
 {
   public:
-    /**
-     * @param shift   EWMA smoothing (alpha = 1/2^shift)
-     * @param max_lookahead clamp on the distance, in elements
-     * @param initial distance used before both EWMAs have samples
-     * @param scale   safety margin: the paper notes the distance "must
-     *                be overestimated relative to the EWMAs" (Sec. 7.1)
-     *                because the out-of-order window issues demands
-     *                ahead of the commit frontier
-     */
-    explicit LookaheadCalculator(unsigned shift = 3,
-                                 std::uint64_t max_lookahead = 64,
-                                 std::uint64_t initial = 4,
-                                 std::uint64_t scale = 2)
-        : iter_(shift), chain_(shift), max_(max_lookahead),
-          initial_(initial), scale_(scale)
-    {
-    }
+    /** Distance used before both EWMAs have samples, in elements. */
+    static constexpr std::uint64_t kInitial = 4;
+    /** Clamp on the distance, in elements. */
+    static constexpr std::uint64_t kMax = 32;
+    /** Safety margin: the paper notes the distance "must be
+     *  overestimated relative to the EWMAs" (Sec. 7.1) because the
+     *  out-of-order window issues demands ahead of the commit
+     *  frontier. */
+    static constexpr std::uint64_t kScale = 2;
 
     /** An observed read hit this entry at @p now (inter-access timer). */
     void
@@ -110,23 +93,16 @@ class LookaheadCalculator
     lookahead() const
     {
         if (!iter_.seeded() || !chain_.seeded() || iter_.value() == 0)
-            return initial_;
-        std::uint64_t ratio =
-            scale_ * ((chain_.value() + iter_.value() - 1) / iter_.value());
-        if (ratio < 1)
-            ratio = 1;
-        if (ratio > max_)
-            ratio = max_;
-        return ratio;
+            return kInitial;
+        const std::uint64_t ratio =
+            kScale * ((chain_.value() + iter_.value() - 1) / iter_.value());
+        return std::clamp(ratio, std::uint64_t{1}, kMax);
     }
 
   private:
     Ewma iter_;
     Ewma chain_;
     Tick lastAccess_ = kTickMax;
-    std::uint64_t max_;
-    std::uint64_t initial_;
-    std::uint64_t scale_;
 };
 
 } // namespace epf

@@ -59,8 +59,7 @@ int
 ProgrammablePrefetcher::addFilter(const FilterEntry &e)
 {
     int idx = filters_.add(e);
-    lookahead_.emplace_back(cfg_.ewmaShift, cfg_.maxLookahead,
-                            cfg_.initialLookahead, cfg_.lookaheadScale);
+    lookahead_.emplace_back();
     return idx;
 }
 

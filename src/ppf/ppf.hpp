@@ -52,11 +52,6 @@ struct PpfConfig
     std::size_t reqQueueCapacity = 200;
     /** Fig. 11 ablation: stall PPUs on chained prefetches. */
     bool blocking = false;
-    unsigned ewmaShift = 3;
-    std::uint64_t maxLookahead = 32;
-    std::uint64_t initialLookahead = 4;
-    /** Overestimation factor on the EWMA-derived distance (Sec. 7.1). */
-    std::uint64_t lookaheadScale = 2;
     /**
      * Event-storm backpressure throttle: when a single window of
      * stormWindowTicks ticks sees more than stormThreshold queued

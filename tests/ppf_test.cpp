@@ -24,7 +24,7 @@ namespace
 
 TEST(EwmaTest, FirstSampleSeeds)
 {
-    Ewma e(3);
+    Ewma e;
     EXPECT_FALSE(e.seeded());
     e.sample(100);
     EXPECT_TRUE(e.seeded());
@@ -33,7 +33,7 @@ TEST(EwmaTest, FirstSampleSeeds)
 
 TEST(EwmaTest, ConvergesToConstantInput)
 {
-    Ewma e(3);
+    Ewma e;
     e.sample(0);
     for (int i = 0; i < 100; ++i)
         e.sample(800);
@@ -42,7 +42,7 @@ TEST(EwmaTest, ConvergesToConstantInput)
 
 TEST(EwmaTest, SmoothsSpikes)
 {
-    Ewma e(3);
+    Ewma e;
     e.sample(100);
     e.sample(1000); // single outlier moves it by only ~1/8
     // Round-to-nearest: 100 + round(900 / 8) = 100 + 113.
@@ -58,7 +58,7 @@ TEST(EwmaTest, SmoothsSpikes)
  */
 TEST(EwmaTest, OscillatingInputHasNoDownwardBias)
 {
-    Ewma e(3);
+    Ewma e;
     e.sample(1004);
     for (int i = 0; i < 200; ++i) {
         e.sample(996);
@@ -78,7 +78,7 @@ class LookaheadParam
 TEST_P(LookaheadParam, RatioTimesScale)
 {
     auto [chain, iter] = GetParam();
-    LookaheadCalculator la(3, 64, 4, 2);
+    LookaheadCalculator la;
     // Seed the iteration EWMA via evenly spaced accesses.
     Tick t = 1000;
     for (int i = 0; i < 200; ++i) {
@@ -87,9 +87,10 @@ TEST_P(LookaheadParam, RatioTimesScale)
     }
     for (int i = 0; i < 200; ++i)
         la.observeChain(chain);
-    std::uint64_t expect = 2 * ((chain + iter - 1) / iter);
-    if (expect > 64)
-        expect = 64;
+    std::uint64_t expect =
+        LookaheadCalculator::kScale * ((chain + iter - 1) / iter);
+    if (expect > LookaheadCalculator::kMax)
+        expect = LookaheadCalculator::kMax;
     EXPECT_NEAR(static_cast<double>(la.lookahead()),
                 static_cast<double>(expect), 2.0);
 }
@@ -98,13 +99,13 @@ INSTANTIATE_TEST_SUITE_P(
     Ratios, LookaheadParam,
     ::testing::Values(std::make_tuple(1600, 160),   // 10x -> 20
                       std::make_tuple(800, 400),    // 2x -> 4
-                      std::make_tuple(3200, 100),   // 32x -> clamp 64
+                      std::make_tuple(3200, 100),   // 32x -> clamp 32
                       std::make_tuple(160, 1600))); // <1 -> 2
 
 TEST(LookaheadTest, InitialBeforeSamples)
 {
-    LookaheadCalculator la(3, 64, 4, 2);
-    EXPECT_EQ(la.lookahead(), 4u);
+    LookaheadCalculator la;
+    EXPECT_EQ(la.lookahead(), LookaheadCalculator::kInitial);
 }
 
 TEST(FilterTableTest, OverlappingRangesBothMatch)
