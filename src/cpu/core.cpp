@@ -14,12 +14,10 @@ Core::Core(EventQueue &eq, const CoreParams &params, CorePort &mem,
 {
     valueReady_.reserve(1 << 20);
     // Every ROB entry costs at least one instruction, so occupancy never
-    // exceeds robEntries — reserving that up front keeps the pooled
-    // RobEntry pointers stable (the ring never reallocates, and
-    // forbidGrowth turns any violation into a debug assert instead of
-    // silent invalidation).
+    // exceeds robEntries: reserving that up front means the ring never
+    // reallocates while it runs.  It holds pointers to pooled entries,
+    // so growth would move no entry anyone holds a reference to.
     rob_.reserve(p_.robEntries + 1);
-    rob_.forbidGrowth();
     execQ_.reserve(p_.robEntries + 1);
     issueQ_.reserve(p_.robEntries + 1);
     execNext_.reserve(p_.robEntries + 1);

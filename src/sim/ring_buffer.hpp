@@ -9,12 +9,8 @@
  * power-of-two buffer and reuses it forever: after warm-up, pushing and
  * popping allocate nothing.
  *
- * Growth reallocates (moves elements), so pointers into a Ring are only
- * stable if the ring never grows past its reserved capacity — callers
- * that rely on this (the core's ROB) reserve their maximum occupancy up
- * front and then declare the dependency with forbidGrowth(), which turns
- * a later growth from silent reference invalidation into a debug-build
- * assertion failure.
+ * Growth reallocates (moves elements), so a reference into a Ring is
+ * only good until the next push.
  */
 
 #ifndef EPF_SIM_RING_BUFFER_HPP
@@ -22,7 +18,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <iterator>
 #include <memory>
 #include <new>
 #include <utility>
@@ -67,26 +62,20 @@ class Ring
 
     bool empty() const { return size_ == 0; }
     std::size_t size() const { return size_; }
-    std::size_t capacity() const { return cap_; }
 
     T &
-    operator[](std::size_t i)
+    front()
     {
-        assert(i < size_);
-        return data_[(head_ + i) & (cap_ - 1)];
+        assert(size_ > 0);
+        return data_[head_];
     }
 
     const T &
-    operator[](std::size_t i) const
+    front() const
     {
-        assert(i < size_);
-        return data_[(head_ + i) & (cap_ - 1)];
+        assert(size_ > 0);
+        return data_[head_];
     }
-
-    T &front() { return (*this)[0]; }
-    const T &front() const { return (*this)[0]; }
-    T &back() { return (*this)[size_ - 1]; }
-    const T &back() const { return (*this)[size_ - 1]; }
 
     void
     push_back(T v)
@@ -131,56 +120,6 @@ class Ring
             grow(roundUpPow2(n));
     }
 
-    /**
-     * Declare that references/pointers into this ring are held across
-     * pushes (see the file comment): any growth past the reserved
-     * capacity would invalidate them, so grow() asserts instead of
-     * reallocating.  Call after reserve()ing the maximum occupancy.
-     * Debug-build only; release builds keep the (documented) silent
-     * reallocation.
-     */
-    void
-    forbidGrowth(bool forbid = true)
-    {
-#ifndef NDEBUG
-        growthForbidden_ = forbid;
-#else
-        (void)forbid;
-#endif
-    }
-
-    // Minimal random-access iterator (enough for range-for and searches).
-    template <typename RingT, typename Value>
-    class Iter
-    {
-      public:
-        using iterator_category = std::forward_iterator_tag;
-        using value_type = Value;
-        using difference_type = std::ptrdiff_t;
-        using pointer = Value *;
-        using reference = Value &;
-
-        Iter(RingT *r, std::size_t i) : r_(r), i_(i) {}
-        reference operator*() const { return (*r_)[i_]; }
-        pointer operator->() const { return &(*r_)[i_]; }
-        Iter &operator++() { ++i_; return *this; }
-        Iter operator++(int) { Iter t = *this; ++i_; return t; }
-        bool operator==(const Iter &o) const { return i_ == o.i_; }
-        bool operator!=(const Iter &o) const { return i_ != o.i_; }
-
-      private:
-        RingT *r_;
-        std::size_t i_;
-    };
-
-    using iterator = Iter<Ring, T>;
-    using const_iterator = Iter<const Ring, const T>;
-
-    iterator begin() { return iterator(this, 0); }
-    iterator end() { return iterator(this, size_); }
-    const_iterator begin() const { return const_iterator(this, 0); }
-    const_iterator end() const { return const_iterator(this, size_); }
-
   private:
     static constexpr std::size_t kMinCapacity = 8;
 
@@ -196,11 +135,6 @@ class Ring
     void
     grow(std::size_t new_cap)
     {
-#ifndef NDEBUG
-        assert(!growthForbidden_ &&
-               "Ring grew past reserved capacity with forbidGrowth() set: "
-               "outstanding element references would be invalidated");
-#endif
         T *nd = static_cast<T *>(
             ::operator new(new_cap * sizeof(T), std::align_val_t(alignof(T))));
         for (std::size_t i = 0; i < size_; ++i) {
@@ -230,9 +164,6 @@ class Ring
     std::size_t cap_ = 0;
     std::size_t head_ = 0;
     std::size_t size_ = 0;
-#ifndef NDEBUG
-    bool growthForbidden_ = false;
-#endif
 };
 
 } // namespace epf
