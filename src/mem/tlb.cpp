@@ -1,6 +1,5 @@
 #include "mem/tlb.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 
@@ -50,31 +49,20 @@ Tlb::l1IndexFind(Addr vpn) const
 {
     const std::size_t mask = l1Index_.size() - 1;
     std::size_t i = l1Home(vpn);
-    while (l1Index_[i].copies != 0 && l1Index_[i].vpn != vpn)
+    while (l1Index_[i].vpn != kNoVpn && l1Index_[i].vpn != vpn)
         i = (i + 1) & mask;
     return i;
 }
 
 void
-Tlb::l1IndexRemove(Addr vpn, std::uint32_t slot)
+Tlb::l1IndexRemove(Addr vpn)
 {
     std::size_t hole = l1IndexFind(vpn);
-    L1IndexEntry &ix = l1Index_[hole];
-    assert(ix.copies != 0);
-    if (--ix.copies != 0) {
-        if (ix.slot == slot) {
-            // The lowest copy leaves: the next lowest one takes over.
-            std::uint32_t t = 0;
-            while (t == slot || l1_[t].vpn != vpn)
-                ++t;
-            ix.slot = t;
-        }
-        return;
-    }
+    assert(l1Index_[hole].vpn == vpn);
     // Backward-shift deletion: pull later entries of the probe run into
     // the hole unless that would move one ahead of its home bucket.
     const std::size_t mask = l1Index_.size() - 1;
-    for (std::size_t j = (hole + 1) & mask; l1Index_[j].copies != 0;
+    for (std::size_t j = (hole + 1) & mask; l1Index_[j].vpn != kNoVpn;
          j = (j + 1) & mask) {
         if (((j - l1Home(l1Index_[j].vpn)) & mask) >= ((j - hole) & mask)) {
             l1Index_[hole] = l1Index_[j];
@@ -104,7 +92,7 @@ bool
 Tlb::lookupL1(Addr vpn, Addr &ppn)
 {
     const L1IndexEntry &ix = l1Index_[l1IndexFind(vpn)];
-    if (ix.copies == 0)
+    if (ix.vpn != vpn)
         return false;
     touchL1(ix.slot);
     ppn = l1_[ix.slot].ppn;
@@ -128,6 +116,8 @@ Tlb::lookupL2(Addr vpn, Addr &ppn)
 void
 Tlb::insertL1(Addr vpn, Addr ppn)
 {
+    assert(l1Index_[l1IndexFind(vpn)].vpn != vpn &&
+           "a vpn is resident in the L1 at most once");
     // Fill the first free slot; once full, replace the least recently
     // used one.
     std::uint32_t slot;
@@ -142,18 +132,12 @@ Tlb::insertL1(Addr vpn, Addr ppn)
         l1Newest_ = slot;
     } else {
         slot = l1Oldest_;
-        l1IndexRemove(l1_[slot].vpn, slot);
+        l1IndexRemove(l1_[slot].vpn);
         touchL1(slot);
     }
     l1_[slot].vpn = vpn;
     l1_[slot].ppn = ppn;
-    L1IndexEntry &ix = l1Index_[l1IndexFind(vpn)];
-    if (ix.copies == 0) {
-        ix = L1IndexEntry{vpn, slot, 1};
-    } else {
-        ++ix.copies;
-        ix.slot = std::min(ix.slot, slot);
-    }
+    l1Index_[l1IndexFind(vpn)] = L1IndexEntry{vpn, slot};
 }
 
 void
@@ -269,19 +253,28 @@ Tlb::finishWalk(std::size_t walk_idx)
     Walk done = std::move(activeWalks_[walk_idx]);
     activeWalks_.erase(activeWalks_.begin() +
                        static_cast<std::ptrdiff_t>(walk_idx));
-    // Resolve each waiter at the leaf, in arrival order: the mapping
-    // (or a fault), then the TLB fills, then its callback.
+    // The leaf holds one translation for the page: fill the L1 and L2
+    // once, from the first waiter whose address is mapped, before any
+    // callback runs, so a callback that translates the page again hits.
+    const Addr base = done.vpn << kPageShift;
+    Addr ppn = 0;
+    for (const auto &w : done.waiters) {
+        if (pt_.mapped(base | w.offset)) {
+            ppn = pt_.translate(base | w.offset) >> kPageShift;
+            insertL1(done.vpn, ppn);
+            insertL2(done.vpn, ppn);
+            break;
+        }
+    }
+    // Then resolve each waiter in arrival order: a fault for an address
+    // outside every region, the page's translation otherwise.
     for (auto &w : done.waiters) {
-        const Addr probe = (done.vpn << kPageShift) | w.offset;
-        if (!pt_.mapped(probe)) {
+        if (!pt_.mapped(base | w.offset)) {
             ++stats_.faults;
             w.cb(0, true);
             continue;
         }
-        const Addr paddr = pt_.translate(probe);
-        insertL1(done.vpn, paddr >> kPageShift);
-        insertL2(done.vpn, paddr >> kPageShift);
-        w.cb(paddr, false);
+        w.cb((ppn << kPageShift) | w.offset, false);
     }
     pumpWalkQueue();
 }

@@ -143,8 +143,8 @@ class Tlb
     std::size_t l1Home(Addr vpn) const;
     /** Index position of @p vpn, or of the empty slot ending its probe. */
     std::size_t l1IndexFind(Addr vpn) const;
-    /** Drop @p vpn's copy in L1 slot @p slot from the index. */
-    void l1IndexRemove(Addr vpn, std::uint32_t slot);
+    /** Drop resident @p vpn from the index. */
+    void l1IndexRemove(Addr vpn);
     void insertL1(Addr vpn, Addr ppn);
     void insertL2(Addr vpn, Addr ppn);
 
@@ -168,12 +168,14 @@ class Tlb
         std::uint32_t next = 0; ///< next less recently used slot
     };
 
-    /** An index bucket: @ref copies slots hold @ref vpn; empty at 0. */
+    /** No page number is this large: marks an empty index bucket. */
+    static constexpr Addr kNoVpn = ~Addr{0};
+
+    /** An index bucket: L1 slot @ref slot holds @ref vpn. */
     struct L1IndexEntry
     {
-        Addr vpn = 0;
-        std::uint32_t slot = 0; ///< the lowest slot holding vpn
-        std::uint32_t copies = 0;
+        Addr vpn = kNoVpn;
+        std::uint32_t slot = 0;
     };
 
     /**
@@ -182,11 +184,9 @@ class Tlb
      * left, then the least recently used one, and nothing invalidates
      * a slot once filled.  Valid slots form a doubly linked recency
      * list from l1Newest_ to l1Oldest_, and an open-addressed (linear
-     * probing) index maps each resident vpn to the lowest slot holding
-     * it, which is the copy a lookup finds and refreshes.  A walk with
-     * several waiters fills its vpn once per waiter, so the index
-     * counts copies; each vpn would sit in the L1 at most once if a
-     * walk filled once.
+     * probing) index maps each resident vpn to its slot.  A vpn is
+     * resident at most once: only an L1 miss fills, and a walk fills
+     * its page once, before any of its waiters' callbacks run.
      */
     std::vector<L1Slot> l1_;
     std::size_t l1Valid_ = 0;

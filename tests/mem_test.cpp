@@ -603,60 +603,77 @@ TEST(TlbTest, L1EvictsLeastRecentlyUsed)
     EXPECT_EQ(tlb.stats().l2Hits, 1u);
 }
 
-TEST(TlbTest, LookupRefreshesTheLowestSlotCopyOfADuplicateFill)
+TEST(TlbTest, AWalkFillsItsPageOnce)
 {
-    // A walk for page P with two waiters fills P into the full 4-entry
-    // L1 twice, and the first waiter's callback fills page Q (an L2
-    // hit) between the two copies.  A lookup of P then refreshes the
-    // copy in the lower slot.  When that is the older copy, the next two
-    // fills evict D and Q; when it is the newer copy, they evict D and
-    // the older copy, and Q survives.
-    enum : unsigned { Q, A, B, C, D, P, E, F, kPages };
-    for (bool olderCopyLower : {true, false}) {
-        SCOPED_TRACE(olderCopyLower ? "older copy lower" : "newer copy lower");
-        EventQueue eq;
-        GuestMemory gm;
-        std::vector<std::uint64_t> buf(kPages * kPageBytes / 8, 0);
-        Addr base = gm.addRegion("buf", buf.data(), buf.size() * 8);
-        PageTable pt(gm);
-        FakeParent walk_mem(eq, 50);
-        TlbParams tp;
-        tp.l1Entries = 4;
-        Tlb tlb(eq, tp, pt, walk_mem);
-        auto page = [base](unsigned p) { return base + p * kPageBytes; };
-        auto touch = [&](unsigned p) {
-            tlb.translate(page(p),
-                          [](Addr, bool fault) { EXPECT_FALSE(fault); });
-            eq.run();
-        };
-
-        // Q, A, B, C fill slots 0-3, then D replaces Q in slot 0.
-        for (unsigned p : {Q, A, B, C, D})
-            touch(p);
-        // Least recent first, the slots are now 1 2 3 0, so the fills
-        // P, Q, P land in slots 1, 2, 3.  Touching C B A D reorders
-        // them to 3 2 1 0, and the fills land in slots 3, 2, 1.
-        if (!olderCopyLower) {
-            for (unsigned p : {C, B, A, D})
-                touch(p);
-        }
-        tlb.translate(page(P), [&](Addr, bool) {
-            tlb.translate(page(Q), [](Addr, bool) {});
-        });
-        tlb.translate(page(P), [](Addr, bool) {});
+    // Two waiters share one walk for page P.  The walk fills P into the
+    // full 4-entry L1 once, evicting only the least recently used page,
+    // A; a second fill would evict B as well.
+    enum : unsigned { A, B, C, D, P, kPages };
+    EventQueue eq;
+    GuestMemory gm;
+    std::vector<std::uint64_t> buf(kPages * kPageBytes / 8, 0);
+    Addr base = gm.addRegion("buf", buf.data(), buf.size() * 8);
+    PageTable pt(gm);
+    FakeParent walk_mem(eq, 50);
+    TlbParams tp;
+    tp.l1Entries = 4;
+    Tlb tlb(eq, tp, pt, walk_mem);
+    auto page = [base](unsigned p) { return base + p * kPageBytes; };
+    auto touch = [&](unsigned p) {
+        tlb.translate(page(p), [](Addr, bool fault) { EXPECT_FALSE(fault); });
         eq.run();
-        ASSERT_EQ(tlb.stats().walks, 6u); // one walk for both waiters
-        ASSERT_EQ(tlb.stats().l2Hits, 1u); // Q
+    };
 
-        const std::uint64_t hits = tlb.stats().l1Hits;
-        touch(P);
-        EXPECT_EQ(tlb.stats().l1Hits, hits + 1);
-        touch(E);
-        touch(F);
-        touch(Q);
-        EXPECT_EQ(tlb.stats().l1Hits, hits + (olderCopyLower ? 1 : 2));
-        EXPECT_EQ(tlb.stats().l2Hits, olderCopyLower ? 2u : 1u);
-    }
+    for (unsigned p : {A, B, C, D})
+        touch(p);
+    Addr got[2] = {0, 0};
+    tlb.translate(page(P), [&](Addr pa, bool) { got[0] = pa; });
+    tlb.translate(page(P) + 8, [&](Addr pa, bool) { got[1] = pa; });
+    eq.run();
+    ASSERT_EQ(tlb.stats().walks, 5u); // one walk for both waiters
+    EXPECT_NE(got[0], 0u);
+    EXPECT_EQ(got[1], got[0] + 8);
+
+    const std::uint64_t hits = tlb.stats().l1Hits;
+    touch(B);
+    EXPECT_EQ(tlb.stats().l1Hits, hits + 1);
+    touch(P);
+    EXPECT_EQ(tlb.stats().l1Hits, hits + 2);
+    EXPECT_EQ(tlb.stats().l2Hits, 0u);
+}
+
+TEST(TlbTest, AWalkWhoseFirstWaiterFaultsStillFillsThePage)
+{
+    // The region ends half-way through its second page.  One walk for
+    // that page serves a waiter past the end of the region, which
+    // faults, and then one inside it, whose translation fills the page.
+    EventQueue eq;
+    GuestMemory gm;
+    std::vector<std::uint64_t> buf(3 * kPageBytes / 2 / 8, 0);
+    Addr base = gm.addRegion("buf", buf.data(), buf.size() * 8);
+    PageTable pt(gm);
+    FakeParent walk_mem(eq, 50);
+    Tlb tlb(eq, TlbParams{}, pt, walk_mem);
+    const Addr page = base + kPageBytes;
+
+    bool faulted = false;
+    Addr got = 0;
+    tlb.translate(page + kPageBytes - 8,
+                  [&](Addr, bool fault) { faulted = fault; });
+    tlb.translate(page + 8, [&](Addr pa, bool fault) {
+        EXPECT_FALSE(fault);
+        got = pa;
+    });
+    eq.run();
+    EXPECT_TRUE(faulted);
+    EXPECT_NE(got, 0u);
+    EXPECT_EQ(tlb.stats().walks, 1u);
+    EXPECT_EQ(tlb.stats().faults, 1u);
+
+    Addr again = 0;
+    tlb.translate(page + 16, [&](Addr pa, bool) { again = pa; });
+    EXPECT_EQ(again, got + 8);
+    EXPECT_EQ(tlb.stats().l1Hits, 1u);
 }
 
 TEST(TlbTest, FaultReportedForUnmapped)
