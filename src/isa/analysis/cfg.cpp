@@ -52,14 +52,14 @@ Cfg::Cfg(const std::vector<Instr> &code,
         }
     }
 
-    std::vector<std::uint32_t> blockOf(size, 0);
+    std::vector<std::uint32_t> blockAt(size, 0);
     for (std::uint32_t i = 0; i < size; ++i) {
         if (leader[i]) {
             Block b;
             b.first = i;
             blocks_.push_back(b);
         }
-        blockOf[i] = static_cast<std::uint32_t>(blocks_.size() - 1);
+        blockAt[i] = static_cast<std::uint32_t>(blocks_.size() - 1);
         blocks_.back().last = i;
     }
 
@@ -78,7 +78,7 @@ Cfg::Cfg(const std::vector<Instr> &code,
         auto edge = [&](std::int64_t target) {
             if (target >= 0 && target < static_cast<std::int64_t>(size))
                 b.succs.push_back(
-                    blockOf[static_cast<std::uint32_t>(target)]);
+                    blockAt[static_cast<std::uint32_t>(target)]);
         };
         if (in.op == Opcode::kJmp) {
             edge(branchTarget(in, b.last));
