@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "isa/analysis/cfg.hpp"
 #include "isa/disasm.hpp"
 #include "sim/types.hpp"
 

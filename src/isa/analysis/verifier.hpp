@@ -23,10 +23,10 @@
 #ifndef EPF_ISA_ANALYSIS_VERIFIER_HPP
 #define EPF_ISA_ANALYSIS_VERIFIER_HPP
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "isa/analysis/cfg.hpp"
 #include "isa/analysis/diag.hpp"
 #include "isa/isa.hpp"
 
